@@ -10,7 +10,9 @@ Seeding: a trial at sweep point i with trial index j uses
 base_seed + i * 10**6 + j, except capacity sweeps, which drop the point term
 so the same user populations recur at every capacity (capacity never enters
 sampling, and pairing makes the all-local baseline exactly constant across
-points).
+points). A spec is rejected up front when two trials would share a seed
+(repeated sweep values, more than 10**6 trials per point of a user sweep) or
+when its last trial seed does not fit in 64 bits.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ SWEEP_NUM_USERS = "num_users"
 SWEEP_PARAMS = (SWEEP_CAPACITY, SWEEP_NUM_USERS)
 
 CSV_HEADER = "scheme,sweep_param,sweep_value,seed,avg_latency_s,revenue_s"
+
+# Seed offset between sweep points; see the module docstring.
+_POINT_STRIDE = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,23 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValueError(f"sweep value must be finite and > 0 (got {v})")
         if spec.sweep_param == SWEEP_NUM_USERS and v != int(v):
             raise ValueError(f"num_users sweep values must be integral (got {v})")
+    if len(set(spec.sweep_values)) != len(spec.sweep_values):
+        raise ValueError(f"sweep_values must be distinct (got {spec.sweep_values})")
     if spec.trials < 1:
         raise ValueError(f"trials must be >= 1 (got {spec.trials})")
+    if spec.sweep_param == SWEEP_NUM_USERS and spec.trials > _POINT_STRIDE:
+        raise ValueError(f"trials must be <= {_POINT_STRIDE} in num_users sweeps, "
+                         f"or seeds of adjacent points collide (got {spec.trials})")
+    last = trial_seed(spec, len(spec.sweep_values) - 1, spec.trials - 1)
+    if last >= 2**64:
+        raise ValueError(f"seed {spec.base.seed} is too large: the last trial seed "
+                         f"{last} is not an unsigned 64-bit integer")
 
 
 def trial_seed(spec: SweepSpec, point_index: int, trial_index: int) -> int:
     if spec.sweep_param == SWEEP_CAPACITY:
         return spec.base.seed + trial_index
-    return spec.base.seed + point_index * 10**6 + trial_index
+    return spec.base.seed + point_index * _POINT_STRIDE + trial_index
 
 
 def run_sweep(spec: SweepSpec,
@@ -144,13 +158,21 @@ def read_csv(path: str) -> list[TrialResult]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing header {CSV_HEADER!r}")
+    width = len(CSV_HEADER.split(","))
     out = []
-    for line in lines[1:]:
-        scheme, param, value, seed, latency, revenue = line.split(",")
-        out.append(TrialResult(scheme=scheme, sweep_param=param,
-                               sweep_value=float(value), seed=int(seed),
-                               avg_latency_s=float(latency),
-                               revenue_s=float(revenue)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, "
+                             f"got {len(cells)}")
+        scheme, param, value, seed, latency, revenue = cells
+        try:
+            out.append(TrialResult(scheme=scheme, sweep_param=param,
+                                   sweep_value=float(value), seed=int(seed),
+                                   avg_latency_s=float(latency),
+                                   revenue_s=float(revenue)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

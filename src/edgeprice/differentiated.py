@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import best_response
 from .kinetics import UserKinetics, scenario_kinetics
 from .scenario import Scenario
-from .uniform import NO_OFFLOAD_PRICE, PriceOutcome, _require_valid
+from .uniform import (NO_OFFLOAD_PRICE, PriceOutcome, _require_valid,
+                      evaluate_prices)
 
 DEFAULT_QUANTUM_CYCLES = 1e6
 DEFAULT_MAX_TABLE_CELLS = 20_000_000
@@ -153,7 +153,9 @@ def solve_knapsack_dp(inst: KnapsackInstance,
 
     total_weight = math.fsum(w for w, s in zip(inst.weights, selected) if s)
     total_value = math.fsum(v for v, s in zip(inst.values, selected) if s)
-    assert total_weight <= inst.capacity
+    if total_weight > inst.capacity:
+        raise RuntimeError(f"DP selection weight {total_weight!r} exceeds "
+                           f"capacity {inst.capacity!r}")
 
     inflated = math.fsum(
         v for w, u, v in zip(inst.weights, item_units, inst.values)
@@ -214,12 +216,8 @@ def solve_differentiated(scenario: Scenario,
     prices = tuple(
         1.0 / users[k].local_cpu_cps if solution.selected[k] else NO_OFFLOAD_PRICE
         for k in range(n))
-    decisions = tuple(
-        best_response(kin_all[k], users[k], prices[k], user_index=k)
-        for k in range(n))
-    load = math.fsum(d.offloaded_bits * u.cycles_per_bit
-                     for d, u in zip(decisions, users))
-    revenue = math.fsum(d.payment_s for d in decisions)
-    assert load <= scenario.system.cloud_capacity_cycles
-    return PriceOutcome(prices=prices, decisions=decisions,
-                        total_load_cycles=load, revenue_s=revenue, feasible=True)
+    outcome = evaluate_prices(scenario, kin_all, prices)
+    if not outcome.feasible:
+        raise RuntimeError(f"per-user load {outcome.total_load_cycles!r} exceeds "
+                           f"capacity {scenario.system.cloud_capacity_cycles!r}")
+    return outcome

@@ -62,7 +62,9 @@ def compute_kinetics(sys_: SystemParams, user: UserProfile) -> UserKinetics:
     balance = (user.cycles_per_bit * user.data_bits
                / (beta * user.local_cpu_cps + user.cycles_per_bit))
     # beta > 0 forces 0 < balance < data_bits
-    assert 0.0 < balance < user.data_bits
+    if not 0.0 < balance < user.data_bits:
+        raise RuntimeError(f"balance {balance!r} outside (0, data_bits "
+                           f"{user.data_bits!r})")
     return UserKinetics(
         uplink_rate_bps=r_up,
         downlink_rate_bps=r_down,

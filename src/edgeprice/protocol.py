@@ -1,10 +1,12 @@
 """The uniform-pricing bargain replayed as an explicit message exchange.
 
-The cloud broadcasts a candidate price each round; every user agent answers
+The replay records ``uniform.price_walk``, the walk ``solve_uniform`` takes:
+each round the cloud broadcasts a candidate price and every user answers
 with (its index, its offload size) computed purely from its own parameters.
 The cloud tallies the reported load against its capacity and either moves to
 the next lower candidate or terminates. The full exchange is recorded as an
-auditable trace whose final outcome must match the direct solver exactly.
+auditable trace whose final outcome is ``uniform.best_settled`` over the
+rounds, so it matches the direct solver exactly.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -23,11 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .follower import OffloadDecision, best_response
-from .kinetics import UserKinetics, compute_kinetics
-from .scenario import Scenario, UserProfile
-from .uniform import (NO_OFFLOAD_PRICE, PriceOutcome, _require_valid,
-                      candidate_prices, ration_tie)
+from .follower import OffloadDecision
+from .kinetics import scenario_kinetics
+from .scenario import Scenario
+from .uniform import PriceOutcome, _require_valid, best_settled, price_walk
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -66,86 +67,37 @@ class BargainTrace:
                       payload=None)
 
 
-class _UserAgent:
-    """Holds one user's private parameters; answers price broadcasts."""
-
-    def __init__(self, index: int, user: UserProfile, kin: UserKinetics):
-        self.index = index
-        self.user = user
-        self.kin = kin
-
-    def respond(self, round_index: int, price: float
-                ) -> tuple[Message, OffloadDecision]:
-        decision = best_response(self.kin, self.user, price,
-                                 user_index=self.index)
-        report = Message(kind=OFFLOAD_REPORT, round=round_index,
-                         sender=f"user_{self.index}",
-                         payload=(self.index, decision.offloaded_bits))
-        return report, decision
-
-
 def run_bargaining(scenario: Scenario) -> BargainTrace:
-    """Play the descending-price rounds and record every message.
+    """Play the descending-price rounds of ``price_walk`` and record every message.
 
     The cloud knows each user's cycles_per_bit and local_cpu_cps (collected
     up front to form the candidate list); everything else stays on the
-    devices. Each feasible round settles at its price as reported. The
-    round whose reports overflow the capacity is the last: the cloud admits
-    the users above its price and then the tied users in index order while
-    their reported load fits, using only those reports and the parameters it
-    holds (``ration_tie``). The final outcome is the best settled round,
-    assembled from the rounds' own data so it matches solve_uniform field
-    for field.
+    devices. Each round records the reports and the load they induce, ties
+    offloading. The round whose reports overflow the capacity is the last:
+    the cloud admits the users above its price and then the tied users in
+    index order while their reported load fits (``ration_tie``). The final
+    outcome is the best settled round, as in ``solve_uniform``.
     """
     _require_valid(scenario)
-    agents = [_UserAgent(i, u, compute_kinetics(scenario.system, u))
-              for i, u in enumerate(scenario.users)]
-    cycles_per_bit = [u.cycles_per_bit for u in scenario.users]
-    capacity = scenario.system.cloud_capacity_cycles
-    k = len(scenario.users)
-
+    kin_all = scenario_kinetics(scenario)
     rounds: list[BargainRound] = []
-    best: PriceOutcome | None = None
-    for round_index, price in enumerate(reversed(candidate_prices(scenario))):
+    settled: list[PriceOutcome | None] = []
+    for round_index, (induced, outcome) in enumerate(price_walk(scenario, kin_all)):
         broadcast = Message(kind=PRICE_BROADCAST, round=round_index,
-                            sender=CLOUD, payload=price)
-        replies = [agent.respond(round_index, price) for agent in agents]
-        reports = tuple(msg for msg, _ in replies)
-        decisions = tuple(dec for _, dec in replies)
-        load = math.fsum(msg.payload[1] * cycles_per_bit[msg.payload[0]]
-                         for msg in reports)
-        feasible = load <= capacity
-        revenue = math.fsum(d.payment_s for d in decisions) if feasible else 0.0
-        rnd = BargainRound(broadcast=broadcast, reports=reports,
-                           decisions=decisions, load_cycles=load,
-                           feasible=feasible, revenue_s=revenue)
-        rounds.append(rnd)
-        if feasible:
-            settled = PriceOutcome(prices=(price,) * k, decisions=decisions,
-                                   total_load_cycles=load, revenue_s=revenue,
-                                   feasible=True)
-        else:
-            settled = ration_tie(scenario, tuple(a.kin for a in agents), price,
-                                 decisions)
-        if settled is not None and (best is None
-                                    or settled.revenue_s > best.revenue_s):
-            best = settled
-        if not feasible:
-            break
-
-    if best is None or best.revenue_s <= 0.0:
-        decisions = tuple(
-            best_response(agent.kin, agent.user, NO_OFFLOAD_PRICE, user_index=i)
-            for i, agent in enumerate(agents))
-        best = PriceOutcome(
-            prices=(NO_OFFLOAD_PRICE,) * k,
-            decisions=decisions,
-            total_load_cycles=math.fsum(
-                d.offloaded_bits * c for d, c in zip(decisions, cycles_per_bit)),
-            revenue_s=math.fsum(d.payment_s for d in decisions),
-            feasible=True,
-        )
-    return BargainTrace(rounds=tuple(rounds), final=best)
+                            sender=CLOUD, payload=induced.prices[0])
+        reports = tuple(
+            Message(kind=OFFLOAD_REPORT, round=round_index,
+                    sender=f"user_{d.user_index}",
+                    payload=(d.user_index, d.offloaded_bits))
+            for d in induced.decisions)
+        rounds.append(BargainRound(broadcast=broadcast, reports=reports,
+                                   decisions=induced.decisions,
+                                   load_cycles=induced.total_load_cycles,
+                                   feasible=induced.feasible,
+                                   revenue_s=induced.revenue_s))
+        settled.append(outcome)
+    return BargainTrace(rounds=tuple(rounds),
+                        final=best_settled(scenario, kin_all, settled))
 
 
 def information_audit(trace: BargainTrace) -> list[str]:

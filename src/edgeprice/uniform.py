@@ -3,9 +3,11 @@
 The revenue-optimal shared price lies in the finite candidate set
 {1/local_cpu_cps}: pushing a price upward inside a gap between candidates
 keeps every offload decision fixed while scaling revenue up, so interior
-prices are never optimal. The solver walks candidates from the most
-expensive down, stopping at the first one whose induced load exceeds the
-cloud capacity (load only grows as the price falls).
+prices are never optimal. ``price_walk`` visits the candidates from the most
+expensive down and stops at the first one whose induced load exceeds the
+cloud capacity (load only grows as the price falls); ``best_settled`` picks
+the outcome. It is the one copy of that walk: ``solve_uniform`` runs it and
+``protocol.run_bargaining`` records it as messages.
 
 At that first overflowing candidate the users tied at the price are
 indifferent between offloading and not, so the cloud serves them up to its
@@ -13,12 +15,15 @@ budget instead of selling nothing (``ration_tie``): users strictly above the
 price offload their balance, as at the previous candidate, and the tied ones
 are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
+
+``evaluate_prices`` turns one price per user into an outcome; the shared
+price (``evaluate_price``) and the per-user scheme both go through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .follower import OffloadDecision, best_response, declined_response
@@ -61,17 +66,16 @@ def candidate_prices(scenario: Scenario) -> list[float]:
     return sorted({1.0 / u.local_cpu_cps for u in scenario.users})
 
 
-def evaluate_price(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-                   price: float) -> PriceOutcome:
-    """Best responses of every user at one shared price, plus the seller view.
+def evaluate_prices(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
+                    prices: Sequence[float]) -> PriceOutcome:
+    """Best responses of every user at its own price, plus the seller view.
 
     Ties offload. If the induced load exceeds the capacity the outcome is
-    marked infeasible and its revenue reported as zero; the solvers then
-    settle on ``ration_tie`` instead.
+    marked infeasible and its revenue reported as zero.
     """
     users = scenario.users
     decisions = tuple(
-        best_response(kin_all[k], users[k], price, user_index=k)
+        best_response(kin_all[k], users[k], prices[k], user_index=k)
         for k in range(len(users))
     )
     load = math.fsum(d.offloaded_bits * u.cycles_per_bit
@@ -79,12 +83,21 @@ def evaluate_price(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
     feasible = load <= scenario.system.cloud_capacity_cycles
     revenue = math.fsum(d.payment_s for d in decisions) if feasible else 0.0
     return PriceOutcome(
-        prices=(price,) * len(users),
+        prices=tuple(prices),
         decisions=decisions,
         total_load_cycles=load,
         revenue_s=revenue,
         feasible=feasible,
     )
+
+
+def evaluate_price(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
+                   price: float) -> PriceOutcome:
+    """``evaluate_prices`` at one shared price.
+
+    When the outcome overflows, the walk settles on ``ration_tie`` instead.
+    """
+    return evaluate_prices(scenario, kin_all, (price,) * len(scenario.users))
 
 
 def ration_tie(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
@@ -137,63 +150,67 @@ def ration_tie(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
     )
 
 
-def _score(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-           price: float) -> tuple[PriceOutcome | None, bool]:
-    """The outcome the cloud settles at one candidate, and whether it overflowed.
+def price_walk(scenario: Scenario, kin_all: tuple[UserKinetics, ...]
+               ) -> Iterator[tuple[PriceOutcome, PriceOutcome | None]]:
+    """The descending-price walk: ``(induced, settled)`` per candidate.
 
-    None means nothing can be sold at that price.
+    ``induced`` is ``evaluate_price`` at the candidate (ties offload).
+    ``settled`` is what the cloud sells there: ``induced`` when it fits,
+    otherwise ``ration_tie`` of it (None if nothing can be sold). Load is
+    nondecreasing as the price falls, so everything below the first
+    overflowing candidate overflows too and the walk stops after it.
     """
-    outcome = evaluate_price(scenario, kin_all, price)
-    if outcome.feasible:
-        return outcome, False
-    return ration_tie(scenario, kin_all, price, outcome.decisions), True
+    for price in reversed(candidate_prices(scenario)):
+        induced = evaluate_price(scenario, kin_all, price)
+        if induced.feasible:
+            yield induced, induced
+        else:
+            yield induced, ration_tie(scenario, kin_all, price, induced.decisions)
+            return
+
+
+def best_settled(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
+                 settled: Iterable[PriceOutcome | None]) -> PriceOutcome:
+    """The highest-revenue outcome among ``settled``, given in descending
+    price order, so revenue ties break toward the larger price. None entries
+    are skipped. If nothing earns revenue the no-offload outcome is returned.
+    """
+    best: PriceOutcome | None = None
+    for outcome in settled:
+        if outcome is not None and (best is None
+                                    or outcome.revenue_s > best.revenue_s):
+            best = outcome
+    if best is None or best.revenue_s <= 0.0:
+        return evaluate_price(scenario, kin_all, NO_OFFLOAD_PRICE)
+    return best
 
 
 def solve_uniform(scenario: Scenario,
                   kin_all: tuple[UserKinetics, ...] | None = None) -> PriceOutcome:
-    """Descending-candidate search with early exit at the first overflowing price.
-
-    Load is nondecreasing as the price falls, so everything below the first
-    overflowing candidate overflows too. That candidate is scored by
-    rationing its tied users (``ration_tie``) and the search stops. Revenue
-    ties break toward the larger price. If nothing earns revenue the
-    no-offload outcome is returned.
-    """
+    """The best outcome settled along ``price_walk``, which stops at the
+    first overflowing candidate."""
     _require_valid(scenario)
     if kin_all is None:
         kin_all = scenario_kinetics(scenario)
-    best: PriceOutcome | None = None
-    for price in reversed(candidate_prices(scenario)):
-        outcome, overflowed = _score(scenario, kin_all, price)
-        if outcome is not None and (best is None
-                                    or outcome.revenue_s > best.revenue_s):
-            best = outcome
-        if overflowed:
-            break
-    if best is None or best.revenue_s <= 0.0:
-        return evaluate_price(scenario, kin_all, NO_OFFLOAD_PRICE)
-    return best
+    return best_settled(scenario, kin_all,
+                        (settled for _, settled in price_walk(scenario, kin_all)))
 
 
 def solve_uniform_exhaustive(scenario: Scenario,
                              kin_all: tuple[UserKinetics, ...] | None = None
                              ) -> PriceOutcome:
-    """Reference solver: score every candidate, rationing overflowing ties.
+    """Reference solver: settle every candidate, with no early exit.
 
     Below the first overflowing candidate the users strictly above the price
-    overflow too, so those candidates score nothing. Exists to check the
-    early-exit search against; same tie-breaking.
+    overflow too, so ``ration_tie`` settles nothing there. Exists to check
+    the early-exit walk against; same tie-breaking.
     """
     _require_valid(scenario)
     if kin_all is None:
         kin_all = scenario_kinetics(scenario)
-    best: PriceOutcome | None = None
+    settled = []
     for price in reversed(candidate_prices(scenario)):
-        outcome, _ = _score(scenario, kin_all, price)
-        if outcome is None:
-            continue
-        if best is None or outcome.revenue_s > best.revenue_s:
-            best = outcome
-    if best is None or best.revenue_s <= 0.0:
-        return evaluate_price(scenario, kin_all, NO_OFFLOAD_PRICE)
-    return best
+        induced = evaluate_price(scenario, kin_all, price)
+        settled.append(induced if induced.feasible
+                       else ration_tie(scenario, kin_all, price, induced.decisions))
+    return best_settled(scenario, kin_all, settled)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_sweep_validation():
         run_sweep(_spec(sweep_param="alpha"))
     with pytest.raises(ValueError, match="integral"):
         run_sweep(_spec(sweep_param="num_users", sweep_values=(2.5,)))
+    with pytest.raises(ValueError, match="distinct"):
+        run_sweep(_spec(sweep_values=(2e9, 4e9, 2e9)))
+    with pytest.raises(ValueError, match="collide"):
+        run_sweep(_spec(sweep_param="num_users", sweep_values=(2.0, 4.0),
+                        trials=10**6 + 1))
+    with pytest.raises(ValueError, match="64-bit"):
+        run_sweep(_spec(trials=3, base=ScenarioConfig(num_users=4,
+                                                      seed=2**64 - 2)))
 
 
 def test_sweep_deterministic():
@@ -114,6 +124,29 @@ def test_csv_rejects_foreign_file(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
+        read_csv(str(path))
+
+
+def test_sweep_validation_limits_are_inclusive(tmp_path):
+    # the largest accepted spec on each new limit loads without running
+    path = tmp_path / "limits.cfg"
+    path.write_text("sweep_param = num_users\n"
+                    "sweep_values = 2, 4\n"
+                    f"trials = {10**6}\n"
+                    f"seed = {2**64 - 2 * 10**6}\n")
+    spec = load_sweep_spec(str(path))
+    assert trial_seed(spec, 1, spec.trials - 1) == 2**64 - 1
+
+
+def test_csv_errors_name_path_and_line(tmp_path):
+    good = "uniform,capacity_cycles,2000000000,7,0.7,0.25"
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{good}\n{good.rsplit(',', 1)[0]}\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:3: expected 6 fields, got 5")):
+        read_csv(str(path))
+    path.write_text(f"{CSV_HEADER}\n{good.replace('0.7', 'fast')}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: could not convert")):
         read_csv(str(path))
 
 

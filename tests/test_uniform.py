@@ -7,7 +7,7 @@ from edgeprice import (NO_OFFLOAD_PRICE, Scenario, ScenarioConfig,
                        candidate_prices, evaluate_price, run_bargaining,
                        sample_scenario, scenario_kinetics, solve_uniform,
                        solve_uniform_exhaustive)
-from edgeprice.uniform import _EXACT_UNIT, _exact_units
+from edgeprice.uniform import _EXACT_UNIT, _exact_units, price_walk
 from edgeprice.verify import grid_revenue_max, random_scenario_config
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
@@ -253,3 +253,47 @@ def test_exact_load_units_round_like_fsum():
         xs = [float(v) for v in 10.0 ** rng.uniform(-320.0, 12.0, size=n)]
         xs += [5e-324, 1e9, 1.0 + 2.0 ** -52]
         assert sum(map(_exact_units, xs)) / _EXACT_UNIT == math.fsum(xs)
+
+
+def _reference_ration(scenario, kin_all, price):
+    """Offload flags and admitted loads of an overflowing round, by hand.
+
+    Users strictly above the price are served; then each tied user, in index
+    order, iff the fsum of the loads admitted so far plus its own fits.
+    """
+    capacity = scenario.system.cloud_capacity_cycles
+    loads = [k.balance_bits * u.cycles_per_bit
+             for k, u in zip(kin_all, scenario.users)]
+    thresholds = [1.0 / u.local_cpu_cps for u in scenario.users]
+    flags = [int(t > price) for t in thresholds]
+    admitted = [x for x, f in zip(loads, flags) if f]
+    for k, t in enumerate(thresholds):
+        if t == price and math.fsum(admitted + [loads[k]]) <= capacity:
+            admitted.append(loads[k])
+            flags[k] = 1
+    return flags, admitted
+
+
+def test_rationed_round_matches_independent_reference():
+    # the walk's last round, when it overflows, against a hand-built ration
+    rng = np.random.default_rng(37)
+    rationed = tied_served = 0
+    for _ in range(400):
+        s = sample_scenario(random_scenario_config(rng))
+        kin_all = scenario_kinetics(s)
+        induced, settled = list(price_walk(s, kin_all))[-1]
+        if induced.feasible:
+            continue
+        rationed += 1
+        price = induced.prices[0]
+        flags, admitted = _reference_ration(s, kin_all, price)
+        assert settled is not None
+        assert [d.offload_flag for d in settled.decisions] == flags
+        assert settled.total_load_cycles == math.fsum(admitted)
+        assert settled.revenue_s == math.fsum(price * x for x in admitted)
+        assert settled.prices == (price,) * len(s.users)
+        assert settled.feasible
+        tied_served += any(f and 1.0 / u.local_cpu_cps == price
+                           for f, u in zip(flags, s.users))
+    assert rationed >= 100
+    assert tied_served > 0
