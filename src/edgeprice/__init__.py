@@ -14,9 +14,9 @@ from .scenario import (BITS_PER_KB, Scenario, ScenarioConfig, SystemParams,
 from .kinetics import (UserKinetics, compute_kinetics, downlink_rate, local_time,
                        offload_time, scenario_kinetics, task_latency, uplink_rate,
                        user_cost)
-from .follower import OffloadDecision, best_response, best_response_oracle
+from .follower import OffloadDecision, best_response
 from .uniform import (NO_OFFLOAD_PRICE, PriceOutcome, candidate_prices,
-                      evaluate_price, solve_uniform, solve_uniform_exhaustive)
+                      evaluate_price, solve_uniform)
 from .differentiated import (BRUTE_FORCE_MAX_ITEMS, DEFAULT_QUANTUM_CYCLES,
                              KnapsackInstance, KnapsackSolution,
                              TableBudgetExceeded, build_knapsack,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from .differentiated import DEFAULT_QUANTUM_CYCLES, solve_differentiated
 from .scenario import (Scenario, ScenarioConfig, config_from_mapping,
-                       read_key_values, sample_scenario)
+                       parse_number, read_key_values, sample_scenario)
 from .uniform import solve_uniform
 
 SCHEME_UNIFORM = "uniform"
@@ -183,17 +183,21 @@ def load_sweep_spec(path: str) -> SweepSpec:
     """Sweep config file: sweep_param, sweep_values (comma separated), trials,
     plus any scenario config keys for the base instance."""
     mapping = read_key_values(path)
-    missing = _SWEEP_KEYS - mapping.keys()
-    if missing:
-        raise ValueError(f"{path}: missing sweep keys {sorted(missing)}")
-    values = tuple(float(v) for v in mapping["sweep_values"].split(",") if v.strip())
-    base_keys = {k: v for k, v in mapping.items() if k not in _SWEEP_KEYS}
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = base_keys.keys() - known
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    spec = SweepSpec(sweep_param=mapping["sweep_param"], sweep_values=values,
-                     trials=int(mapping["trials"]),
-                     base=config_from_mapping(base_keys))
-    _validate_spec(spec)
+    try:
+        missing = _SWEEP_KEYS - mapping.keys()
+        if missing:
+            raise ValueError(f"missing sweep keys {sorted(missing)}")
+        values = tuple(parse_number("sweep_values", v.strip())
+                       for v in mapping["sweep_values"].split(",") if v.strip())
+        base_keys = {k: v for k, v in mapping.items() if k not in _SWEEP_KEYS}
+        known = {f.name for f in fields(ScenarioConfig)}
+        unknown = base_keys.keys() - known
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        spec = SweepSpec(sweep_param=mapping["sweep_param"], sweep_values=values,
+                         trials=parse_number("trials", mapping["trials"], int),
+                         base=config_from_mapping(base_keys))
+        _validate_spec(spec)
+    except ValueError as exc:  # name the file; the message names the key
+        raise ValueError(f"{path}: {exc}") from None
     return spec

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import UserKinetics, scenario_kinetics
+from .kinetics import UserKinetics
 from .scenario import Scenario
-from .uniform import (NO_OFFLOAD_PRICE, PriceOutcome, _require_valid,
-                      evaluate_prices)
+from .uniform import NO_OFFLOAD_PRICE, PriceOutcome, evaluate_prices
 
 DEFAULT_QUANTUM_CYCLES = 1e6
-DEFAULT_MAX_TABLE_CELLS = 20_000_000
+MAX_TABLE_CELLS = 20_000_000     # DP table budget; past it, coarsen the quantum
 BRUTE_FORCE_MAX_ITEMS = 20
 
 
@@ -69,7 +68,7 @@ def _validate_instance(inst: KnapsackInstance) -> None:
 
 def build_knapsack(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
                    quantum: float = DEFAULT_QUANTUM_CYCLES) -> KnapsackInstance:
-    _require_valid(scenario)
+    """One item per user; ``kin_all`` is the scenario's ``kinetics``."""
     weights = tuple(k.balance_bits * u.cycles_per_bit
                     for k, u in zip(kin_all, scenario.users))
     values = tuple(w / u.local_cpu_cps for w, u in zip(weights, scenario.users))
@@ -111,9 +110,7 @@ def _optimistic_value(inst: KnapsackInstance) -> float:
     return float(best[-1]) + free
 
 
-def solve_knapsack_dp(inst: KnapsackInstance,
-                      max_table_cells: int = DEFAULT_MAX_TABLE_CELLS
-                      ) -> KnapsackSolution:
+def solve_knapsack_dp(inst: KnapsackInstance) -> KnapsackSolution:
     """Exact DP on the conservatively quantized instance.
 
     Value ties prefer the lighter selection. The returned selection always
@@ -122,10 +119,10 @@ def solve_knapsack_dp(inst: KnapsackInstance,
     _validate_instance(inst)
     n = len(inst.weights)
     cap_units = _units_round_down(inst.capacity, inst.quantum)
-    if n * (cap_units + 1) > max_table_cells:
+    if n * (cap_units + 1) > MAX_TABLE_CELLS:
         raise TableBudgetExceeded(
             f"{n} items x {cap_units + 1} capacity units exceeds the "
-            f"{max_table_cells}-cell budget; use a coarser quantum")
+            f"{MAX_TABLE_CELLS}-cell budget; use a coarser quantum")
     item_units = [_units_round_up(w, inst.quantum) for w in inst.weights]
 
     best_val = np.zeros(cap_units + 1)
@@ -190,33 +187,20 @@ def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
 
 
 def solve_differentiated(scenario: Scenario,
-                         kin_all: tuple[UserKinetics, ...] | None = None,
-                         quantum: float = DEFAULT_QUANTUM_CYCLES,
-                         exact: bool | None = None,
-                         max_table_cells: int = DEFAULT_MAX_TABLE_CELLS
-                         ) -> PriceOutcome:
+                         quantum: float = DEFAULT_QUANTUM_CYCLES) -> PriceOutcome:
     """Per-user prices: 1/local_cpu_cps for knapsack winners, sentinel otherwise.
 
-    ``exact=None`` picks subset enumeration up to 20 users and the quantized
-    DP beyond; pass True/False to force one side.
+    The winners come from subset enumeration up to 20 users and from the
+    quantized DP beyond.
     """
-    _require_valid(scenario)
-    if kin_all is None:
-        kin_all = scenario_kinetics(scenario)
-    inst = build_knapsack(scenario, kin_all, quantum)
-    n = len(scenario.users)
-    if exact is None:
-        exact = n <= BRUTE_FORCE_MAX_ITEMS
-    if exact:
+    inst = build_knapsack(scenario, scenario.kinetics, quantum)
+    if len(scenario.users) <= BRUTE_FORCE_MAX_ITEMS:
         solution = solve_knapsack_bruteforce(inst)
     else:
-        solution = solve_knapsack_dp(inst, max_table_cells)
-
-    users = scenario.users
-    prices = tuple(
-        1.0 / users[k].local_cpu_cps if solution.selected[k] else NO_OFFLOAD_PRICE
-        for k in range(n))
-    outcome = evaluate_prices(scenario, kin_all, prices)
+        solution = solve_knapsack_dp(inst)
+    prices = tuple(1.0 / u.local_cpu_cps if chosen else NO_OFFLOAD_PRICE
+                   for u, chosen in zip(scenario.users, solution.selected))
+    outcome = evaluate_prices(scenario, prices)
     if not outcome.feasible:
         raise RuntimeError(f"per-user load {outcome.total_load_cycles!r} exceeds "
                            f"capacity {scenario.system.cloud_capacity_cycles!r}")

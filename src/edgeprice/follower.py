@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kinetics import UserKinetics, task_latency, user_cost
 from .scenario import UserProfile
 
@@ -67,21 +65,3 @@ def declined_response(kin: UserKinetics, user: UserProfile, price: float,
         latency_s=task_latency(kin, user, 0.0),
         payment_s=0.0,
     )
-
-
-def best_response_oracle(kin: UserKinetics, user: UserProfile, price: float,
-                         grid_points: int) -> float:
-    """Cost argmin over a uniform offload-size grid; ties go to larger sizes.
-
-    Deliberately shares no logic with best_response: the cost is rebuilt
-    from the raw timing formulas and scanned exhaustively. Test-only.
-    """
-    if grid_points < 1000:
-        raise ValueError(f"grid_points must be >= 1000 (got {grid_points})")
-    ell = np.linspace(0.0, user.data_bits, grid_points)
-    local = (user.data_bits - ell) * user.cycles_per_bit / user.local_cpu_cps
-    offload = kin.beta_s_per_bit * ell
-    payment = np.where(ell > 0.0, price * (ell * user.cycles_per_bit), 0.0)
-    cost = np.maximum(local, offload) + payment
-    idx = (grid_points - 1) - int(np.argmin(cost[::-1]))
-    return float(ell[idx])

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .scenario import Scenario, SystemParams, UserProfile
+if TYPE_CHECKING:  # scenario imports this module to derive Scenario.kinetics
+    from .scenario import Scenario, SystemParams, UserProfile
 
 
 @dataclass(frozen=True)

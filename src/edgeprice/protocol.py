@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .follower import OffloadDecision
-from .kinetics import scenario_kinetics
 from .scenario import Scenario
-from .uniform import PriceOutcome, _require_valid, best_settled, price_walk
+from .uniform import PriceOutcome, best_settled, price_walk
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -78,11 +77,9 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
     index order while their reported load fits (``ration_tie``). The final
     outcome is the best settled round, as in ``solve_uniform``.
     """
-    _require_valid(scenario)
-    kin_all = scenario_kinetics(scenario)
     rounds: list[BargainRound] = []
     settled: list[PriceOutcome | None] = []
-    for round_index, (induced, outcome) in enumerate(price_walk(scenario, kin_all)):
+    for round_index, (induced, outcome) in enumerate(price_walk(scenario)):
         broadcast = Message(kind=PRICE_BROADCAST, round=round_index,
                             sender=CLOUD, payload=induced.prices[0])
         reports = tuple(
@@ -97,7 +94,7 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
                                    revenue_s=induced.revenue_s))
         settled.append(outcome)
     return BargainTrace(rounds=tuple(rounds),
-                        final=best_settled(scenario, kin_all, settled))
+                        final=best_settled(scenario, settled))
 
 
 def information_audit(trace: BargainTrace) -> list[str]:

@@ -8,9 +8,11 @@ on the way in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .kinetics import UserKinetics, scenario_kinetics
 
 # Decimal kilobyte, consistent with the SI-style Hz/W units used everywhere else.
 BITS_PER_KB = 8e3
@@ -61,8 +63,20 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One offloading period. Building it runs ``validate_scenario`` (any
+    violation raises ``ValueError``) and then derives every user's kinetics
+    once, in user order, for the solvers to read."""
+
     system: SystemParams
     users: tuple[UserProfile, ...]
+    kinetics: tuple[UserKinetics, ...] = field(init=False, compare=False,
+                                               repr=False)
+
+    def __post_init__(self) -> None:
+        problems = validate_scenario(self)
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
+        object.__setattr__(self, "kinetics", scenario_kinetics(self))
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 
 def read_key_values(path: str) -> dict[str, str]:
-    """Parse a plain-text ``key = value`` file; '#' starts a comment."""
+    """Parse a ``key = value`` file; '#' starts a comment; keys are unique."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -210,9 +224,19 @@ def read_key_values(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value
     return out
+
+
+def parse_number(key: str, value: str, kind: type = float) -> int | float:
+    """``value`` as ``kind`` (int or float); the error names ``key``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
@@ -222,12 +246,14 @@ def config_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     for key, value in mapping.items():
         if key not in known:
             raise ValueError(f"unknown scenario config key: {key!r}")
-        if key in _INT_CONFIG_FIELDS:
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
+        kwargs[key] = parse_number(key, value,
+                                   int if key in _INT_CONFIG_FIELDS else float)
     return ScenarioConfig(**kwargs)
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    return config_from_mapping(read_key_values(path))
+    mapping = read_key_values(path)
+    try:
+        return config_from_mapping(mapping)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

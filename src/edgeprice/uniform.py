@@ -17,7 +17,9 @@ are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
 
 ``evaluate_prices`` turns one price per user into an outcome; the shared
-price (``evaluate_price``) and the per-user scheme both go through it.
+price (``evaluate_price``) and the per-user scheme both go through it. Every
+function reads the users' kinetics from ``Scenario.kinetics``; the
+exhaustive reference walk lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .follower import OffloadDecision, best_response, declined_response
-from .kinetics import UserKinetics, scenario_kinetics
-from .scenario import Scenario, validate_scenario
+from .scenario import Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
 NO_OFFLOAD_PRICE = math.inf
@@ -55,25 +56,18 @@ class PriceOutcome:
     feasible: bool                         # load within cloud capacity
 
 
-def _require_valid(scenario: Scenario) -> None:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
-
-
 def candidate_prices(scenario: Scenario) -> list[float]:
     """Deduplicated {1/local_cpu_cps}, ascending."""
     return sorted({1.0 / u.local_cpu_cps for u in scenario.users})
 
 
-def evaluate_prices(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-                    prices: Sequence[float]) -> PriceOutcome:
+def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome:
     """Best responses of every user at its own price, plus the seller view.
 
     Ties offload. If the induced load exceeds the capacity the outcome is
     marked infeasible and its revenue reported as zero.
     """
-    users = scenario.users
+    users, kin_all = scenario.users, scenario.kinetics
     decisions = tuple(
         best_response(kin_all[k], users[k], prices[k], user_index=k)
         for k in range(len(users))
@@ -91,18 +85,16 @@ def evaluate_prices(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
     )
 
 
-def evaluate_price(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-                   price: float) -> PriceOutcome:
+def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
     """``evaluate_prices`` at one shared price.
 
     When the outcome overflows, the walk settles on ``ration_tie`` instead.
     """
-    return evaluate_prices(scenario, kin_all, (price,) * len(scenario.users))
+    return evaluate_prices(scenario, (price,) * len(scenario.users))
 
 
-def ration_tie(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-               price: float, decisions: Sequence[OffloadDecision]
-               ) -> PriceOutcome | None:
+def ration_tie(scenario: Scenario, price: float,
+               decisions: Sequence[OffloadDecision]) -> PriceOutcome | None:
     """Serve the users tied at an overflowing shared price up to the capacity.
 
     ``decisions`` are the best responses at ``price``, ties offloading. Only
@@ -136,8 +128,8 @@ def ration_tie(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
             if grown / _EXACT_UNIT <= capacity:
                 total = grown
             else:
-                served[k] = declined_response(kin_all[k], users[k], price,
-                                              user_index=k)
+                served[k] = declined_response(scenario.kinetics[k], users[k],
+                                              price, user_index=k)
     load = total / _EXACT_UNIT
     if load > capacity:
         raise RuntimeError(f"rationed load {load!r} exceeds capacity {capacity!r}")
@@ -150,7 +142,7 @@ def ration_tie(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
     )
 
 
-def price_walk(scenario: Scenario, kin_all: tuple[UserKinetics, ...]
+def price_walk(scenario: Scenario
                ) -> Iterator[tuple[PriceOutcome, PriceOutcome | None]]:
     """The descending-price walk: ``(induced, settled)`` per candidate.
 
@@ -161,15 +153,15 @@ def price_walk(scenario: Scenario, kin_all: tuple[UserKinetics, ...]
     overflowing candidate overflows too and the walk stops after it.
     """
     for price in reversed(candidate_prices(scenario)):
-        induced = evaluate_price(scenario, kin_all, price)
+        induced = evaluate_price(scenario, price)
         if induced.feasible:
             yield induced, induced
         else:
-            yield induced, ration_tie(scenario, kin_all, price, induced.decisions)
+            yield induced, ration_tie(scenario, price, induced.decisions)
             return
 
 
-def best_settled(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
+def best_settled(scenario: Scenario,
                  settled: Iterable[PriceOutcome | None]) -> PriceOutcome:
     """The highest-revenue outcome among ``settled``, given in descending
     price order, so revenue ties break toward the larger price. None entries
@@ -181,36 +173,12 @@ def best_settled(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
                                     or outcome.revenue_s > best.revenue_s):
             best = outcome
     if best is None or best.revenue_s <= 0.0:
-        return evaluate_price(scenario, kin_all, NO_OFFLOAD_PRICE)
+        return evaluate_price(scenario, NO_OFFLOAD_PRICE)
     return best
 
 
-def solve_uniform(scenario: Scenario,
-                  kin_all: tuple[UserKinetics, ...] | None = None) -> PriceOutcome:
+def solve_uniform(scenario: Scenario) -> PriceOutcome:
     """The best outcome settled along ``price_walk``, which stops at the
     first overflowing candidate."""
-    _require_valid(scenario)
-    if kin_all is None:
-        kin_all = scenario_kinetics(scenario)
-    return best_settled(scenario, kin_all,
-                        (settled for _, settled in price_walk(scenario, kin_all)))
-
-
-def solve_uniform_exhaustive(scenario: Scenario,
-                             kin_all: tuple[UserKinetics, ...] | None = None
-                             ) -> PriceOutcome:
-    """Reference solver: settle every candidate, with no early exit.
-
-    Below the first overflowing candidate the users strictly above the price
-    overflow too, so ``ration_tie`` settles nothing there. Exists to check
-    the early-exit walk against; same tie-breaking.
-    """
-    _require_valid(scenario)
-    if kin_all is None:
-        kin_all = scenario_kinetics(scenario)
-    settled = []
-    for price in reversed(candidate_prices(scenario)):
-        induced = evaluate_price(scenario, kin_all, price)
-        settled.append(induced if induced.feasible
-                       else ration_tie(scenario, kin_all, price, induced.decisions))
-    return best_settled(scenario, kin_all, settled)
+    return best_settled(scenario,
+                        (settled for _, settled in price_walk(scenario)))

@@ -15,12 +15,13 @@ import numpy as np
 
 from .differentiated import (solve_differentiated, solve_knapsack_bruteforce,
                              solve_knapsack_dp, build_knapsack, KnapsackInstance)
-from .follower import best_response, best_response_oracle
-from .kinetics import (local_time, offload_time, scenario_kinetics, task_latency,
+from .follower import best_response
+from .kinetics import (UserKinetics, local_time, offload_time, task_latency,
                        user_cost)
 from .protocol import run_bargaining
-from .scenario import Scenario, ScenarioConfig, sample_scenario
-from .uniform import solve_uniform, solve_uniform_exhaustive
+from .scenario import Scenario, ScenarioConfig, UserProfile, sample_scenario
+from .uniform import (PriceOutcome, best_settled, candidate_prices,
+                      evaluate_price, ration_tie, solve_uniform)
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,24 @@ def _random_price(rng: np.random.Generator, threshold: float) -> float:
     return float(rng.uniform(threshold, 4.0 * threshold))
 
 
+def best_response_oracle(kin: UserKinetics, user: UserProfile, price: float,
+                         grid_points: int) -> float:
+    """Cost argmin over a uniform offload-size grid; ties go to larger sizes.
+
+    Deliberately shares no logic with best_response: the cost is rebuilt
+    from the raw timing formulas and scanned exhaustively.
+    """
+    if grid_points < 1000:
+        raise ValueError(f"grid_points must be >= 1000 (got {grid_points})")
+    ell = np.linspace(0.0, user.data_bits, grid_points)
+    local = (user.data_bits - ell) * user.cycles_per_bit / user.local_cpu_cps
+    offload = kin.beta_s_per_bit * ell
+    payment = np.where(ell > 0.0, price * (ell * user.cycles_per_bit), 0.0)
+    cost = np.maximum(local, offload) + payment
+    idx = (grid_points - 1) - int(np.argmin(cost[::-1]))
+    return float(ell[idx])
+
+
 def check_follower_oracle(seed: int = 0, pairs: int = 1000,
                           grid_points: int = 100_000) -> CheckResult:
     """Fast decision never loses to a grid scan; support is exactly {0, balance}."""
@@ -70,9 +89,8 @@ def check_follower_oracle(seed: int = 0, pairs: int = 1000,
     worst = 0.0
     for _ in range(pairs):
         scenario = _sample(rng, max_users=8)
-        kin_all = scenario_kinetics(scenario)
         k = int(rng.integers(0, len(scenario.users)))
-        user, kin = scenario.users[k], kin_all[k]
+        user, kin = scenario.users[k], scenario.kinetics[k]
         price = _random_price(rng, 1.0 / user.local_cpu_cps)
         decision = best_response(kin, user, price)
         if decision.offloaded_bits not in (0.0, kin.balance_bits):
@@ -92,11 +110,11 @@ def check_follower_oracle(seed: int = 0, pairs: int = 1000,
                        f"worst relative excess {worst:.3e}")
 
 
-def grid_revenue_max(scenario: Scenario, kin_all, grid_points: int) -> float:
+def grid_revenue_max(scenario: Scenario, grid_points: int) -> float:
     """Best revenue over a dense shared-price grid on (0, 2 * max threshold]."""
     inv_cpu = np.array([1.0 / u.local_cpu_cps for u in scenario.users])
     demand = np.array([k.balance_bits * u.cycles_per_bit
-                       for k, u in zip(kin_all, scenario.users)])
+                       for k, u in zip(scenario.kinetics, scenario.users)])
     top = 2.0 * float(inv_cpu.max())
     prices = np.linspace(top / grid_points, top, grid_points)
     offload = prices[None, :] <= inv_cpu[:, None]
@@ -114,9 +132,8 @@ def check_uniform_grid_optimality(seed: int = 0, scenarios: int = 1000,
     worst = 0.0
     for _ in range(scenarios):
         scenario = _sample(rng, max_users=max_users)
-        kin_all = scenario_kinetics(scenario)
-        solved = solve_uniform(scenario, kin_all).revenue_s
-        grid_best = grid_revenue_max(scenario, kin_all, grid_points)
+        solved = solve_uniform(scenario).revenue_s
+        grid_best = grid_revenue_max(scenario, grid_points)
         excess = (grid_best - solved) / (1.0 + solved)
         worst = max(worst, excess)
         if excess > 1e-9:
@@ -128,15 +145,29 @@ def check_uniform_grid_optimality(seed: int = 0, scenarios: int = 1000,
                        f"worst relative excess {worst:.3e}")
 
 
+def solve_uniform_exhaustive(scenario: Scenario) -> PriceOutcome:
+    """Reference solver: settle every candidate, with no early exit.
+
+    Below the first overflowing candidate the users strictly above the price
+    overflow too, so ``ration_tie`` settles nothing there. Exists to check
+    the early-exit walk against; same tie-breaking.
+    """
+    settled = []
+    for price in reversed(candidate_prices(scenario)):
+        induced = evaluate_price(scenario, price)
+        settled.append(induced if induced.feasible
+                       else ration_tie(scenario, price, induced.decisions))
+    return best_settled(scenario, settled)
+
+
 def check_bargaining_equivalence(seed: int = 0,
                                  scenarios: int = 1000) -> CheckResult:
     """Early-exit search == exhaustive scoring == protocol replay, exactly."""
     rng = np.random.default_rng(seed)
     for _ in range(scenarios):
         scenario = _sample(rng)
-        kin_all = scenario_kinetics(scenario)
-        fast = solve_uniform(scenario, kin_all)
-        full = solve_uniform_exhaustive(scenario, kin_all)
+        fast = solve_uniform(scenario)
+        full = solve_uniform_exhaustive(scenario)
         if fast != full:
             return CheckResult("bargaining_equivalence", False,
                                "early exit diverged from exhaustive scoring")
@@ -153,7 +184,7 @@ def random_knapsack(rng: np.random.Generator,
                     max_items: int = 20) -> KnapsackInstance:
     """Instance built from a sampled scenario, with a randomized quantum."""
     scenario = _sample(rng, max_users=max_items)
-    inst = build_knapsack(scenario, scenario_kinetics(scenario))
+    inst = build_knapsack(scenario, scenario.kinetics)
     quantum = float(10.0 ** rng.integers(5, 8))
     return replace(inst, quantum=quantum)
 
@@ -201,9 +232,8 @@ def check_revenue_dominance(seed: int = 0, scenarios: int = 1000,
     worst = 0.0
     for _ in range(scenarios):
         scenario = _sample(rng, max_users=max_users)
-        kin_all = scenario_kinetics(scenario)
-        uniform = solve_uniform(scenario, kin_all).revenue_s
-        per_user = solve_differentiated(scenario, kin_all).revenue_s
+        uniform = solve_uniform(scenario).revenue_s
+        per_user = solve_differentiated(scenario).revenue_s
         short = (uniform - per_user) / (1.0 + uniform)
         worst = max(worst, short)
         if short > 1e-12:
@@ -221,8 +251,7 @@ def check_cost_model(seed: int = 0, users: int = 10_000) -> CheckResult:
     done = 0
     while done < users:
         scenario = _sample(rng, max_users=50, min_users=10)
-        kin_all = scenario_kinetics(scenario)
-        for user, kin in zip(scenario.users, kin_all):
+        for user, kin in zip(scenario.users, scenario.kinetics):
             m = kin.balance_bits
             price = _random_price(rng, 1.0 / user.local_cpu_cps)
 
@@ -277,6 +306,8 @@ _DEFAULT_COUNTS = {
 
 def run_verify(seed: int = 0, trials: int | None = None) -> list[CheckResult]:
     """Run every check; ``trials`` overrides each check's instance count."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {trials})")
     results = []
     for check in ALL_CHECKS:
         kwargs = dict(_DEFAULT_COUNTS[check.__name__])

@@ -1,11 +1,14 @@
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from edgeprice import (ScenarioConfig, SweepSpec, TrialResult, local_only_latency,
-                       read_csv, run_sweep, run_trial, sample_scenario,
-                       solve_differentiated, solve_uniform, write_csv)
+from edgeprice import (ScenarioConfig, SweepSpec, TrialResult, compute_kinetics,
+                       local_only_latency, read_csv, run_sweep, run_trial,
+                       sample_scenario, solve_differentiated, solve_uniform,
+                       validate_scenario, write_csv)
 from edgeprice.bench import (CSV_HEADER, SCHEMES, format_csv, load_sweep_spec,
                              trial_seed)
 from edgeprice.verify import random_scenario_config
@@ -54,6 +57,27 @@ def _spec(**overrides):
                 trials=1, base=ScenarioConfig(num_users=4, seed=9))
     base.update(overrides)
     return SweepSpec(**base)
+
+
+@pytest.mark.parametrize("num_users", [12, 25])  # enumeration and DP paths
+def test_trial_validates_once_and_derives_kinetics_once(num_users):
+    # counted by code object, so no import alias can hide a call
+    watched = {validate_scenario.__code__: "validate",
+               compute_kinetics.__code__: "kinetics"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        scenario = sample_scenario(ScenarioConfig(num_users=num_users, seed=4))
+        for scheme in SCHEMES:
+            run_trial(scenario, scheme)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"validate": 1, "kinetics": num_users}
 
 
 def test_sweep_result_count():
@@ -178,6 +202,23 @@ def test_load_sweep_spec_missing_keys(tmp_path):
     path = tmp_path / "incomplete.cfg"
     path.write_text("sweep_param = capacity_cycles\n")
     with pytest.raises(ValueError, match="missing sweep keys"):
+        load_sweep_spec(str(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sweep_values = 2e9, 4e9x", "sweep_values: expected float, got '4e9x'"),
+    ("trials = 2.5", "trials: expected int, got '2.5'"),
+    ("capacity_cycles = lots", "capacity_cycles: expected float, got 'lots'"),
+    ("num_users = 2.5", "num_users: expected int, got '2.5'"),
+], ids=["sweep_values", "trials", "capacity_cycles", "num_users"])
+def test_load_sweep_spec_bad_value_names_path_and_key(tmp_path, line, message):
+    path = tmp_path / "sweep.cfg"
+    lines = {"sweep_param": "sweep_param = capacity_cycles",
+             "sweep_values": "sweep_values = 2e9",
+             "trials": "trials = 1"}
+    lines[line.split("=")[0].strip()] = line
+    path.write_text("\n".join(lines.values()) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_sweep_spec(str(path))
 
 

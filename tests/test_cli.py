@@ -1,3 +1,5 @@
+import pytest
+
 from edgeprice.cli import main
 
 SCENARIO_CFG = "num_users = 4\nseed = 11\ncapacity_cycles = 3e9\n"
@@ -74,6 +76,14 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--seed", "1", "--trials", "20"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_nonpositive_trials(trials, capsys):
+    assert main(["verify", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"trials must be >= 1 (got {trials})" in captured.err
 
 
 def test_missing_config_is_reported(tmp_path, capsys):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from edgeprice import (KnapsackInstance, NO_OFFLOAD_PRICE, TableBudgetExceeded,
-                       build_knapsack, sample_scenario, scenario_kinetics,
-                       solve_differentiated, solve_knapsack_bruteforce,
+                       build_knapsack, sample_scenario, solve_differentiated, solve_knapsack_bruteforce,
                        solve_knapsack_dp, solve_uniform)
 from edgeprice.verify import random_knapsack, random_scenario_config, snap_weights_up
 
@@ -17,7 +16,7 @@ TWO_ITEMS = KnapsackInstance(weights=(4e8, 3e8), values=(0.4, 0.6),
 
 
 def test_build_knapsack_hand_values(two_user_scenario):
-    inst = build_knapsack(two_user_scenario, scenario_kinetics(two_user_scenario))
+    inst = build_knapsack(two_user_scenario, two_user_scenario.kinetics)
     assert inst.weights[0] == pytest.approx(4e8, rel=1e-9)
     assert inst.weights[1] == pytest.approx(3e8, rel=1e-9)
     assert inst.values[0] == pytest.approx(0.4, rel=1e-9)
@@ -152,9 +151,8 @@ def test_selected_users_offload_balance_bits():
     rng = np.random.default_rng(43)
     for _ in range(100):
         s = sample_scenario(random_scenario_config(rng))
-        kin_all = scenario_kinetics(s)
-        out = solve_differentiated(s, kin_all)
-        for d, kin in zip(out.decisions, kin_all):
+        out = solve_differentiated(s)
+        for d, kin in zip(out.decisions, s.kinetics):
             if d.offload_flag:
                 assert d.offloaded_bits == kin.balance_bits
             else:
@@ -165,9 +163,8 @@ def test_revenue_dominates_uniform_exact_path():
     rng = np.random.default_rng(44)
     for _ in range(200):
         s = sample_scenario(random_scenario_config(rng, max_users=20))
-        kin_all = scenario_kinetics(s)
-        uniform = solve_uniform(s, kin_all).revenue_s
-        per_user = solve_differentiated(s, kin_all).revenue_s
+        uniform = solve_uniform(s).revenue_s
+        per_user = solve_differentiated(s).revenue_s
         assert per_user >= uniform - 1e-12 * (1.0 + uniform)
 
 
@@ -176,15 +173,7 @@ def test_revenue_dominates_uniform_dp_path_within_bound():
     for _ in range(100):
         s = sample_scenario(random_scenario_config(rng, max_users=30,
                                                    min_users=21))
-        kin_all = scenario_kinetics(s)
-        uniform = solve_uniform(s, kin_all).revenue_s
-        out = solve_differentiated(s, kin_all, exact=False)
-        bound = solve_knapsack_dp(build_knapsack(s, kin_all)).value_bound
+        uniform = solve_uniform(s).revenue_s
+        out = solve_differentiated(s)  # above 20 users: the quantized DP
+        bound = solve_knapsack_dp(build_knapsack(s, s.kinetics)).value_bound
         assert out.revenue_s >= uniform - bound - 1e-12 * (1.0 + uniform)
-
-
-def test_exact_request_rejected_above_cap():
-    rng = np.random.default_rng(46)
-    s = sample_scenario(random_scenario_config(rng, max_users=25, min_users=21))
-    with pytest.raises(ValueError, match="enumeration"):
-        solve_differentiated(s, exact=True)

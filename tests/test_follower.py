@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from edgeprice import (best_response, best_response_oracle, sample_scenario,
-                       scenario_kinetics, user_cost)
+from edgeprice import (best_response, sample_scenario, scenario_kinetics,
+                       user_cost)
 from edgeprice.follower import declined_response
-from edgeprice.verify import random_scenario_config
+from edgeprice.verify import best_response_oracle, random_scenario_config
 
 from conftest import make_kinetics, make_profile
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,14 +75,17 @@ def test_validate_default_scenario_clean():
 def test_validate_flags_zero_output_ratio():
     system = make_system(1, 6e9)
     bad = make_profile(output_ratio=0.0)
-    problems = validate_scenario(Scenario(system=system, users=(bad,)))
-    assert len(problems) == 1 and "output_ratio" in problems[0]
+    # exactly one problem, naming the field
+    with pytest.raises(ValueError,
+                       match=r"^invalid scenario: user 0: output_ratio [^;]*$"):
+        Scenario(system=system, users=(bad,))
 
 
 def test_validate_flags_user_count_mismatch():
     system = make_system(3, 6e9)
-    problems = validate_scenario(Scenario(system=system, users=(make_profile(),)))
-    assert len(problems) == 1 and "num_users" in problems[0]
+    with pytest.raises(ValueError,
+                       match=r"^invalid scenario: [^;]*num_users [^;]*$"):
+        Scenario(system=system, users=(make_profile(),))
 
 
 def test_invalid_config_bounds_rejected():
@@ -109,6 +113,26 @@ def test_config_file_round_trip(tmp_path):
 def test_config_file_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown"):
         config_from_mapping({"bandwidth": "1e6"})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("num_users = 2.5", "num_users: expected int, got '2.5'"),
+    ("seed = 1e3", "seed: expected int, got '1e3'"),
+    ("capacity_cycles = lots", "capacity_cycles: expected float, got 'lots'"),
+], ids=["num_users", "seed", "capacity_cycles"])
+def test_config_file_bad_value_names_path_and_key(tmp_path, line, message):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"bandwidth_hz = 2e6\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_scenario_config(str(path))
+
+
+def test_config_file_duplicate_key_rejected(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("num_users = 5\nseed = 1\n num_users = 7 # again\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:3: duplicate key 'num_users'")):
+        load_scenario_config(str(path))
 
 
 def test_config_file_bad_line(tmp_path):

@@ -1,29 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edgeprice import (NO_OFFLOAD_PRICE, Scenario, ScenarioConfig,
                        candidate_prices, evaluate_price, run_bargaining,
-                       sample_scenario, scenario_kinetics, solve_uniform,
-                       solve_uniform_exhaustive)
-from edgeprice.uniform import _EXACT_UNIT, _exact_units, price_walk
-from edgeprice.verify import grid_revenue_max, random_scenario_config
+                       sample_scenario, solve_uniform)
+from edgeprice.uniform import (_EXACT_UNIT, _exact_units, best_settled,
+                               price_walk)
+from edgeprice.verify import (grid_revenue_max, random_scenario_config,
+                              solve_uniform_exhaustive)
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
-                      make_kinetics, make_profile, make_system,
-                      tied_tier_scenario)
-
-
-def _synthetic_pair_scenario(capacity=1e9, data_bits_2=6e5):
-    """Hand scenario with injected kinetics: balance loads ~4e8 and ~3e8."""
-    system = make_system(2, capacity)
-    u1 = make_profile(data_bits=8e5, cycles_per_bit=1000.0, local_cpu_cps=1e9)
-    u2 = make_profile(data_bits=data_bits_2, cycles_per_bit=1000.0,
-                      local_cpu_cps=5e8)
-    scenario = Scenario(system=system, users=(u1, u2))
-    kin_all = (make_kinetics(u1, beta=1e-6), make_kinetics(u2, beta=2e-6))
-    return scenario, kin_all
+                      make_profile, make_system, tied_tier_scenario)
 
 
 def test_candidates_are_sorted_reciprocals():
@@ -45,8 +35,8 @@ def test_default_sampler_has_few_candidates():
 
 
 def test_evaluate_price_low_price_serves_both():
-    scenario, kin_all = _synthetic_pair_scenario()
-    out = evaluate_price(scenario, kin_all, 1e-9)
+    scenario = balanced_two_user_scenario()
+    out = evaluate_price(scenario, 1e-9)
     assert [d.offload_flag for d in out.decisions] == [1, 1]
     assert out.total_load_cycles == pytest.approx(7e8, rel=1e-12)
     assert out.revenue_s == pytest.approx(0.7, rel=1e-12)
@@ -54,23 +44,23 @@ def test_evaluate_price_low_price_serves_both():
 
 
 def test_evaluate_price_high_price_serves_slow_cpu_only():
-    scenario, kin_all = _synthetic_pair_scenario()
-    out = evaluate_price(scenario, kin_all, 2e-9)
+    scenario = balanced_two_user_scenario()
+    out = evaluate_price(scenario, 2e-9)
     assert [d.offload_flag for d in out.decisions] == [0, 1]
     assert out.revenue_s == pytest.approx(0.6, rel=1e-12)
 
 
 def test_evaluate_price_above_all_thresholds():
-    scenario, kin_all = _synthetic_pair_scenario()
-    out = evaluate_price(scenario, kin_all, 1e-8)
+    scenario = balanced_two_user_scenario()
+    out = evaluate_price(scenario, 1e-8)
     assert out.total_load_cycles == 0.0
     assert out.revenue_s == 0.0
     assert out.feasible
 
 
 def test_evaluate_price_overload_scores_zero():
-    scenario, kin_all = _synthetic_pair_scenario(capacity=5e8)
-    out = evaluate_price(scenario, kin_all, 1e-9)
+    scenario = balanced_two_user_scenario(capacity=5e8)
+    out = evaluate_price(scenario, 1e-9)
     assert not out.feasible
     assert out.revenue_s == 0.0
     assert out.total_load_cycles > scenario.system.cloud_capacity_cycles
@@ -95,7 +85,7 @@ def test_solve_uniform_all_infeasible_returns_no_offload():
 
 def test_solve_uniform_single_user():
     scenario = balanced_single_user_scenario()
-    kin = scenario_kinetics(scenario)[0]
+    kin = scenario.kinetics[0]
     out = solve_uniform(scenario)
     assert out.prices[0] == 1.0 / scenario.users[0].local_cpu_cps
     expected = (1.0 / scenario.users[0].local_cpu_cps
@@ -120,8 +110,7 @@ def test_load_nonincreasing_in_price():
     rng = np.random.default_rng(32)
     for _ in range(100):
         s = sample_scenario(random_scenario_config(rng))
-        kin_all = scenario_kinetics(s)
-        loads = [evaluate_price(s, kin_all, p).total_load_cycles
+        loads = [evaluate_price(s, p).total_load_cycles
                  for p in candidate_prices(s)]
         assert all(a >= b for a, b in zip(loads, loads[1:]))
 
@@ -139,41 +128,44 @@ def test_early_exit_matches_exhaustive():
     rng = np.random.default_rng(34)
     for _ in range(300):
         s = sample_scenario(random_scenario_config(rng))
-        kin_all = scenario_kinetics(s)
-        assert solve_uniform(s, kin_all) == solve_uniform_exhaustive(s, kin_all)
+        assert solve_uniform(s) == solve_uniform_exhaustive(s)
 
 
 def test_revenue_tie_breaks_toward_larger_price():
-    # equal balance loads make both candidates earn identical revenue
-    scenario, kin_all = _synthetic_pair_scenario(data_bits_2=8e5)
-    out = solve_uniform(scenario, kin_all)
-    a = evaluate_price(scenario, kin_all, 1e-9)
-    b = evaluate_price(scenario, kin_all, 2e-9)
-    assert a.revenue_s == b.revenue_s
-    assert out.prices[0] == 2e-9
+    # best_settled keeps the first of equal revenues, and the walk hands it
+    # the candidates from the largest price down
+    scenario = balanced_two_user_scenario()
+    high = evaluate_price(scenario, 2e-9)
+    low = replace(evaluate_price(scenario, 1e-9), revenue_s=high.revenue_s)
+    assert best_settled(scenario, [high, low]) is high
+    assert best_settled(scenario, [low, high]) is low
+    roomy = sample_scenario(ScenarioConfig(num_users=30, seed=21,
+                                           capacity_cycles=1e12))
+    walked = [induced.prices[0] for induced, _ in price_walk(roomy)]
+    assert len(walked) > 2
+    assert walked == sorted(candidate_prices(roomy), reverse=True)
 
 
 def test_no_grid_price_beats_solver(two_user_scenario):
-    kin_all = scenario_kinetics(two_user_scenario)
-    best = grid_revenue_max(two_user_scenario, kin_all, 10_000)
-    solved = solve_uniform(two_user_scenario, kin_all).revenue_s
+    best = grid_revenue_max(two_user_scenario, 10_000)
+    solved = solve_uniform(two_user_scenario).revenue_s
     assert best <= solved + 1e-9 * (1.0 + solved)
 
 
 def test_capacity_boundary_is_inclusive():
     # induced load exactly equal to the budget still trades
-    scenario, kin_all = _synthetic_pair_scenario()
-    load = evaluate_price(scenario, kin_all, 1e-9).total_load_cycles
+    scenario = balanced_two_user_scenario()
+    load = evaluate_price(scenario, 1e-9).total_load_cycles
     tight = Scenario(system=make_system(2, load), users=scenario.users)
-    out = evaluate_price(tight, kin_all, 1e-9)
+    out = evaluate_price(tight, 1e-9)
     assert out.feasible and out.revenue_s > 0
 
 
 def test_solve_rejects_invalid_scenario():
     system = make_system(2, 1e9)
-    bad = Scenario(system, (make_profile(),))  # length mismatch
-    with pytest.raises(ValueError, match="num_users"):
-        solve_uniform(bad)
+    with pytest.raises(ValueError,
+                       match=r"^invalid scenario: [^;]*num_users [^;]*$"):
+        Scenario(system, (make_profile(),))  # length mismatch
 
 
 def _served_load(out, scenario):
@@ -182,9 +174,8 @@ def _served_load(out, scenario):
 
 
 def _solve_all_ways(scenario):
-    kin_all = scenario_kinetics(scenario)
-    out = solve_uniform(scenario, kin_all)
-    assert out == solve_uniform_exhaustive(scenario, kin_all)
+    out = solve_uniform(scenario)
+    assert out == solve_uniform_exhaustive(scenario)
     assert out == run_bargaining(scenario).final
     assert out.feasible
     assert out.total_load_cycles <= scenario.system.cloud_capacity_cycles
@@ -195,8 +186,8 @@ def _solve_all_ways(scenario):
 def test_overflowing_tie_serves_first_tied_user():
     # two ~3e8-cycle users tied at 2e-9 overflow a 5e8 budget together
     scenario = tied_tier_scenario(5e8, (6e5, 6e5))
-    kin_all = scenario_kinetics(scenario)
-    assert not evaluate_price(scenario, kin_all, 2e-9).feasible
+    kin_all = scenario.kinetics
+    assert not evaluate_price(scenario, 2e-9).feasible
     out = _solve_all_ways(scenario)
     assert out.prices == (2e-9, 2e-9)
     assert [d.offload_flag for d in out.decisions] == [1, 0]
@@ -236,12 +227,11 @@ def test_rationed_load_never_exceeds_capacity():
     rationed = 0
     for _ in range(300):
         s = sample_scenario(random_scenario_config(rng))
-        kin_all = scenario_kinetics(s)
-        out = solve_uniform(s, kin_all)
+        out = solve_uniform(s)
         assert out.total_load_cycles <= s.system.cloud_capacity_cycles
         assert out.total_load_cycles == _served_load(out, s)
         if out.revenue_s > 0:
-            rationed += out != evaluate_price(s, kin_all, out.prices[0])
+            rationed += out != evaluate_price(s, out.prices[0])
     assert rationed > 0
 
 
@@ -280,13 +270,12 @@ def test_rationed_round_matches_independent_reference():
     rationed = tied_served = 0
     for _ in range(400):
         s = sample_scenario(random_scenario_config(rng))
-        kin_all = scenario_kinetics(s)
-        induced, settled = list(price_walk(s, kin_all))[-1]
+        induced, settled = list(price_walk(s))[-1]
         if induced.feasible:
             continue
         rationed += 1
         price = induced.prices[0]
-        flags, admitted = _reference_ration(s, kin_all, price)
+        flags, admitted = _reference_ration(s, s.kinetics, price)
         assert settled is not None
         assert [d.offload_flag for d in settled.decisions] == flags
         assert settled.total_load_cycles == math.fsum(admitted)
