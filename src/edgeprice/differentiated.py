@@ -93,9 +93,7 @@ def _units_round_down(value: float, quantum: float) -> int:
 
 def _optimistic_value(inst: KnapsackInstance) -> float:
     """Exact optimum of the relaxed instance (weights down, capacity up)."""
-    cap_units = int(math.ceil(inst.capacity / inst.quantum))
-    while cap_units * inst.quantum < inst.capacity:
-        cap_units += 1
+    cap_units = _units_round_up(inst.capacity, inst.quantum)
     best = np.zeros(cap_units + 1)
     free = 0.0
     for w, v in zip(inst.weights, inst.values):

@@ -7,8 +7,9 @@ otherwise offload nothing. At exactly 1/local_cpu_cps the cost is flat in
 the offload size up to the balance point, so the user is indifferent. The
 tie resolves to offloading, which is what lets the seller price right at
 that threshold. A cloud whose budget cannot take every tied user may decline
-some of them (see ``uniform.ration_tie``); a declined user keeps everything
-local at the same cost.
+some of them (see ``uniform.ration_tie``); a declined user gets its best
+response at ``uniform.NO_OFFLOAD_PRICE``, keeping everything local at the
+same cost.
 """
 
 from __future__ import annotations
@@ -44,24 +45,4 @@ def best_response(kin: UserKinetics, user: UserProfile, price: float,
         cost_s=user_cost(kin, user, ell, price),
         latency_s=task_latency(kin, user, ell),
         payment_s=payment,
-    )
-
-
-def declined_response(kin: UserKinetics, user: UserProfile, price: float,
-                      user_index: int = 0) -> OffloadDecision:
-    """All-local decision of a tied user whom the cloud does not serve.
-
-    Only defined at the user's threshold price 1/local_cpu_cps, where keeping
-    everything local costs exactly as much as offloading the balance size.
-    """
-    if price != 1.0 / user.local_cpu_cps:
-        raise ValueError(f"only a tied user can be declined: price {price!r} "
-                         f"!= 1/local_cpu_cps {1.0 / user.local_cpu_cps!r}")
-    return OffloadDecision(
-        user_index=user_index,
-        offloaded_bits=0.0,
-        offload_flag=0,
-        cost_s=user_cost(kin, user, 0.0, price),
-        latency_s=task_latency(kin, user, 0.0),
-        payment_s=0.0,
     )

@@ -6,7 +6,9 @@ with (its index, its offload size) computed purely from its own parameters.
 The cloud tallies the reported load against its capacity and either moves to
 the next lower candidate or terminates. The full exchange is recorded as an
 auditable trace whose final outcome is ``uniform.best_settled`` over the
-rounds, so it matches the direct solver exactly.
+rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
+the outcome its price induces, ties offloading, as ``price_walk`` yields it;
+only its broadcast and reports are messages, and its decisions are never sent.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .follower import OffloadDecision
 from .scenario import Scenario
 from .uniform import PriceOutcome, best_settled, price_walk
 
@@ -47,10 +48,7 @@ class Message:
 class BargainRound:
     broadcast: Message
     reports: tuple[Message, ...]
-    decisions: tuple[OffloadDecision, ...]   # harness ground truth, never sent
-    load_cycles: float
-    feasible: bool
-    revenue_s: float
+    outcome: PriceOutcome   # induced by the broadcast price, ties offloading
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
 
     The cloud knows each user's cycles_per_bit and local_cpu_cps (collected
     up front to form the candidate list); everything else stays on the
-    devices. Each round records the reports and the load they induce, ties
+    devices. Each round records the reports and the outcome they induce, ties
     offloading. The round whose reports overflow the capacity is the last:
     the cloud admits the users above its price and then the tied users in
     index order while their reported load fits (``ration_tie``). The final
@@ -88,10 +86,7 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
                     payload=(d.user_index, d.offloaded_bits))
             for d in induced.decisions)
         rounds.append(BargainRound(broadcast=broadcast, reports=reports,
-                                   decisions=induced.decisions,
-                                   load_cycles=induced.total_load_cycles,
-                                   feasible=induced.feasible,
-                                   revenue_s=induced.revenue_s))
+                                   outcome=induced))
         settled.append(outcome)
     return BargainTrace(rounds=tuple(rounds),
                         final=best_settled(scenario, settled))

@@ -129,8 +129,11 @@ def config_violations(config: ScenarioConfig) -> list[str]:
             out.append(f"{name} must be finite and > 0 (got {v})")
     if not (math.isfinite(c.capacity_cycles) and c.capacity_cycles >= 0):
         out.append(f"capacity_cycles must be finite and >= 0 (got {c.capacity_cycles})")
-    if not math.isfinite(c.noise_dbm_per_hz):
-        out.append(f"noise_dbm_per_hz must be finite (got {c.noise_dbm_per_hz})")
+    for name in ("noise_dbm_per_hz", "gain_db_min", "gain_db_max",
+                 "local_cpu_max_cps", "cycles_per_bit_max", "data_kb_max"):
+        v = getattr(c, name)
+        if not math.isfinite(v):
+            out.append(f"{name} must be finite (got {v})")
     for lo, hi in (("gain_db_min", "gain_db_max"),
                    ("local_cpu_min_cps", "local_cpu_max_cps"),
                    ("cycles_per_bit_min", "cycles_per_bit_max"),
@@ -140,11 +143,19 @@ def config_violations(config: ScenarioConfig) -> list[str]:
     return out
 
 
-def _local_cpu_grid(config: ScenarioConfig) -> np.ndarray:
-    steps = int(round((config.local_cpu_max_cps - config.local_cpu_min_cps)
+def _local_cpu_speed(config: ScenarioConfig, index: int) -> float:
+    return config.local_cpu_min_cps + config.local_cpu_step_cps * float(index)
+
+
+def _local_cpu_count(config: ScenarioConfig) -> int:
+    """Points min + step * i of the local CPU grid that stay within max
+    (1e-12 relative slack); rounding the span can add one point above it."""
+    count = int(round((config.local_cpu_max_cps - config.local_cpu_min_cps)
                       / config.local_cpu_step_cps)) + 1
-    grid = config.local_cpu_min_cps + config.local_cpu_step_cps * np.arange(steps)
-    return grid[grid <= config.local_cpu_max_cps * (1 + 1e-12)]
+    limit = config.local_cpu_max_cps * (1 + 1e-12)
+    while _local_cpu_speed(config, count - 1) > limit:
+        count -= 1
+    return count
 
 
 def sample_scenario(config: ScenarioConfig) -> Scenario:
@@ -162,8 +173,7 @@ def sample_scenario(config: ScenarioConfig) -> Scenario:
     rng = np.random.default_rng(config.seed)
     k = config.num_users
     gains_db = rng.uniform(config.gain_db_min, config.gain_db_max, k)
-    cpu_grid = _local_cpu_grid(config)
-    cpu_idx = rng.integers(0, len(cpu_grid), k)
+    cpu_idx = rng.integers(0, _local_cpu_count(config), k)
     cycles = rng.uniform(config.cycles_per_bit_min, config.cycles_per_bit_max, k)
     data_kb = rng.uniform(config.data_kb_min, config.data_kb_max, k)
 
@@ -171,7 +181,7 @@ def sample_scenario(config: ScenarioConfig) -> Scenario:
         UserProfile(
             data_bits=float(data_kb[i] * BITS_PER_KB),
             cycles_per_bit=float(cycles[i]),
-            local_cpu_cps=float(cpu_grid[cpu_idx[i]]),
+            local_cpu_cps=_local_cpu_speed(config, cpu_idx[i]),
             output_ratio=config.output_ratio,
             uplink_power_w=config.uplink_power_w,
             downlink_power_w=config.downlink_power_w,

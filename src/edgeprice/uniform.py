@@ -17,9 +17,11 @@ are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
 
 ``evaluate_prices`` turns one price per user into an outcome; the shared
-price (``evaluate_price``) and the per-user scheme both go through it. Every
-function reads the users' kinetics from ``Scenario.kinetics``; the
-exhaustive reference walk lives in ``verify``.
+price (``evaluate_price``) and the per-user scheme both go through it. It and
+``ration_tie`` build every ``PriceOutcome`` the same way, from the prices and
+the decisions (``_priced_outcome``). Every function reads the users'
+kinetics from ``Scenario.kinetics``; the exhaustive reference walk lives in
+``verify``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .follower import OffloadDecision, best_response, declined_response
+from .follower import OffloadDecision, best_response
 from .scenario import Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
@@ -61,6 +63,22 @@ def candidate_prices(scenario: Scenario) -> list[float]:
     return sorted({1.0 / u.local_cpu_cps for u in scenario.users})
 
 
+def _priced_outcome(scenario: Scenario, prices: Sequence[float],
+                    decisions: Sequence[OffloadDecision]) -> PriceOutcome:
+    """The seller view of ``decisions``: load, feasibility and revenue."""
+    load = math.fsum(d.offloaded_bits * u.cycles_per_bit
+                     for d, u in zip(decisions, scenario.users))
+    feasible = load <= scenario.system.cloud_capacity_cycles
+    revenue = math.fsum(d.payment_s for d in decisions) if feasible else 0.0
+    return PriceOutcome(
+        prices=tuple(prices),
+        decisions=tuple(decisions),
+        total_load_cycles=load,
+        revenue_s=revenue,
+        feasible=feasible,
+    )
+
+
 def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome:
     """Best responses of every user at its own price, plus the seller view.
 
@@ -68,21 +86,10 @@ def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome
     marked infeasible and its revenue reported as zero.
     """
     users, kin_all = scenario.users, scenario.kinetics
-    decisions = tuple(
+    return _priced_outcome(scenario, prices, [
         best_response(kin_all[k], users[k], prices[k], user_index=k)
         for k in range(len(users))
-    )
-    load = math.fsum(d.offloaded_bits * u.cycles_per_bit
-                     for d, u in zip(decisions, users))
-    feasible = load <= scenario.system.cloud_capacity_cycles
-    revenue = math.fsum(d.payment_s for d in decisions) if feasible else 0.0
-    return PriceOutcome(
-        prices=tuple(prices),
-        decisions=decisions,
-        total_load_cycles=load,
-        revenue_s=revenue,
-        feasible=feasible,
-    )
+    ])
 
 
 def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
@@ -102,14 +109,15 @@ def ration_tie(scenario: Scenario, price: float,
     the cycles_per_bit and local_cpu_cps the cloud holds. Users whose
     threshold 1/local_cpu_cps lies strictly above the price are served. The
     tied users are served whole, in index order, each only if its load still
-    fits; the others are declined and keep everything local. Returns None
+    fits; the others are declined: each gets its best response at
+    ``NO_OFFLOAD_PRICE``, keeping everything local. Returns None
     when the users strictly above the price overflow the capacity by
     themselves (below the walk's first overflowing candidate).
 
     The running load is an exact integer sum of the float loads (in units of
     2**-1074), and each admission tests the correctly rounded float of that
-    sum, the very value reported as ``total_load_cycles`` (equal to
-    ``math.fsum`` of the served loads), so rounding never takes the load over
+    sum. That float is ``math.fsum`` of the served loads, the very value
+    reported as ``total_load_cycles``, so rounding never takes the load over
     the capacity.
     """
     users = scenario.users
@@ -128,18 +136,13 @@ def ration_tie(scenario: Scenario, price: float,
             if grown / _EXACT_UNIT <= capacity:
                 total = grown
             else:
-                served[k] = declined_response(scenario.kinetics[k], users[k],
-                                              price, user_index=k)
-    load = total / _EXACT_UNIT
-    if load > capacity:
-        raise RuntimeError(f"rationed load {load!r} exceeds capacity {capacity!r}")
-    return PriceOutcome(
-        prices=(price,) * len(users),
-        decisions=tuple(served),
-        total_load_cycles=load,
-        revenue_s=math.fsum(d.payment_s for d in served),
-        feasible=True,
-    )
+                served[k] = best_response(scenario.kinetics[k], users[k],
+                                          NO_OFFLOAD_PRICE, user_index=k)
+    outcome = _priced_outcome(scenario, (price,) * len(users), served)
+    if not outcome.feasible:
+        raise RuntimeError(f"rationed load {outcome.total_load_cycles!r} "
+                           f"exceeds capacity {capacity!r}")
+    return outcome
 
 
 def price_walk(scenario: Scenario

@@ -97,3 +97,23 @@ def test_invalid_config_value_is_reported(tmp_path, capsys):
     cfg.write_text("num_users = 0\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "num_users" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "gain_db_min = nan", "gain_db_min = -inf", "gain_db_max = inf",
+    "data_kb_max = inf", "data_kb_max = nan", "cycles_per_bit_max = inf",
+    "cycles_per_bit_max = nan", "local_cpu_max_cps = inf",
+    "local_cpu_max_cps = nan",
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_finite_config_bound_is_reported(tmp_path, capsys, line, command):
+    name = line.split(" = ")[0]
+    cfg = tmp_path / "bad.cfg"
+    if command == "run":
+        cfg.write_text(line + "\n")
+        args = ["run", "--config", str(cfg)]
+    else:
+        cfg.write_text(SWEEP_CFG + line + "\n")
+        args = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from edgeprice import (best_response, sample_scenario, scenario_kinetics,
-                       user_cost)
-from edgeprice.follower import declined_response
+from edgeprice import (NO_OFFLOAD_PRICE, best_response, sample_scenario,
+                       scenario_kinetics, user_cost)
 from edgeprice.verify import best_response_oracle, random_scenario_config
 
 from conftest import make_kinetics, make_profile
@@ -130,15 +129,9 @@ def test_declined_tie_costs_the_same_as_offloading():
     u, kin = _pair()
     tie = 1.0 / u.local_cpu_cps
     offloading = best_response(kin, u, tie, user_index=3)
-    declined = declined_response(kin, u, tie, user_index=3)
+    declined = best_response(kin, u, NO_OFFLOAD_PRICE, user_index=3)
     assert declined.user_index == 3
     assert declined.offload_flag == 0 and declined.offloaded_bits == 0.0
     assert declined.payment_s == 0.0
     assert declined.cost_s == offloading.cost_s
     assert declined.latency_s == declined.cost_s
-
-
-def test_decline_only_at_the_tie():
-    u, kin = _pair()
-    with pytest.raises(ValueError, match="tied"):
-        declined_response(kin, u, 0.5 / u.local_cpu_cps)

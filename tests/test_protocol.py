@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from edgeprice import (Message, NO_OFFLOAD_PRICE, ScenarioConfig, format_trace,
-                       information_audit, run_bargaining, sample_scenario,
-                       solve_uniform, write_trace)
+from edgeprice import (Message, NO_OFFLOAD_PRICE, ScenarioConfig, best_response,
+                       evaluate_price, format_trace, information_audit,
+                       run_bargaining, sample_scenario, solve_uniform,
+                       write_trace)
 from edgeprice.protocol import (BargainTrace, CLOUD, OFFLOAD_REPORT,
                                 PRICE_BROADCAST, TERMINATE)
 from edgeprice.verify import random_scenario_config
@@ -32,7 +33,7 @@ def test_two_user_bargain_rounds(two_user_scenario):
     trace = run_bargaining(two_user_scenario)
     assert len(trace.rounds) == 2
     assert [r.broadcast.payload for r in trace.rounds] == [2e-9, 1e-9]
-    assert all(r.feasible for r in trace.rounds)
+    assert all(r.outcome.feasible for r in trace.rounds)
     assert trace.final.revenue_s == pytest.approx(0.7, rel=1e-9)
     assert trace.final == solve_uniform(two_user_scenario)
 
@@ -40,8 +41,8 @@ def test_two_user_bargain_rounds(two_user_scenario):
 def test_all_infeasible_single_round():
     trace = run_bargaining(balanced_two_user_scenario(capacity=1.0))
     assert len(trace.rounds) == 1
-    assert not trace.rounds[0].feasible
-    assert trace.rounds[0].revenue_s == 0.0
+    assert not trace.rounds[0].outcome.feasible
+    assert trace.rounds[0].outcome.revenue_s == 0.0
     assert trace.final.prices == (NO_OFFLOAD_PRICE,) * 2
     assert trace.final.revenue_s == 0.0
 
@@ -56,7 +57,8 @@ def test_overflowing_tie_rationed_from_reports():
     assert trace.final.total_load_cycles <= scenario.system.cloud_capacity_cycles
     # the round itself still records the tie's full, overflowing reports
     assert len(trace.rounds) == 1
-    assert not trace.rounds[0].feasible and trace.rounds[0].revenue_s == 0.0
+    last = trace.rounds[0].outcome
+    assert not last.feasible and last.revenue_s == 0.0
     assert all(msg.payload[1] > 0.0 for msg in trace.rounds[0].reports)
     assert information_audit(trace) == []
     text = format_trace(trace)
@@ -70,7 +72,7 @@ def test_overflowing_tie_rationed_from_reports():
 def test_rationing_round_after_feasible_rounds():
     scenario = tied_tier_scenario(4.5e8, (8e5, 6e5), above_data_bits=(2e5,))
     trace = run_bargaining(scenario)
-    assert [r.feasible for r in trace.rounds] == [True, False]
+    assert [r.outcome.feasible for r in trace.rounds] == [True, False]
     assert trace.final == solve_uniform(scenario)
     assert trace.final.prices[0] == trace.rounds[-1].broadcast.payload
     assert information_audit(trace) == []
@@ -89,6 +91,31 @@ def test_final_matches_direct_solver():
     for _ in range(200):
         s = sample_scenario(random_scenario_config(rng))
         assert run_bargaining(s).final == solve_uniform(s)
+
+
+def test_rounds_hold_their_induced_outcome():
+    # each round's outcome is the price's own evaluation, its reports are read
+    # off that outcome, and a rationed final declines tied users with the
+    # all-local best response
+    rng = np.random.default_rng(53)
+    declined = 0
+    for _ in range(250):
+        s = sample_scenario(random_scenario_config(rng))
+        trace = run_bargaining(s)
+        for rnd in trace.rounds:
+            assert rnd.outcome == evaluate_price(s, rnd.broadcast.payload)
+            assert [msg.payload for msg in rnd.reports] == \
+                [(d.user_index, d.offloaded_bits) for d in rnd.outcome.decisions]
+        last = trace.rounds[-1].outcome
+        if last.feasible or trace.final.prices != last.prices:
+            continue
+        for k, (offered, sold) in enumerate(zip(last.decisions,
+                                                trace.final.decisions)):
+            if offered.offload_flag and not sold.offload_flag:
+                declined += 1
+                assert sold == best_response(s.kinetics[k], s.users[k],
+                                             NO_OFFLOAD_PRICE, user_index=k)
+    assert declined >= 20
 
 
 def test_round_shape():
@@ -140,8 +167,7 @@ def _forged(trace: BargainTrace, round_index: int, payload) -> BargainTrace:
                          sender="user_0", payload=payload)
     forged_round = type(rnd)(broadcast=rnd.broadcast,
                              reports=(bad_report,) + rnd.reports[1:],
-                             decisions=rnd.decisions, load_cycles=rnd.load_cycles,
-                             feasible=rnd.feasible, revenue_s=rnd.revenue_s)
+                             outcome=rnd.outcome)
     rounds = list(trace.rounds)
     rounds[round_index] = forged_round
     return BargainTrace(rounds=tuple(rounds), final=trace.final)
@@ -168,8 +194,7 @@ def test_audit_flags_stale_round_reference(two_user_scenario):
                     payload=(0, 1.0))
     forged_round = type(rnd)(broadcast=rnd.broadcast,
                              reports=(stale,) + rnd.reports[1:],
-                             decisions=rnd.decisions, load_cycles=rnd.load_cycles,
-                             feasible=rnd.feasible, revenue_s=rnd.revenue_s)
+                             outcome=rnd.outcome)
     forged = BargainTrace(rounds=(trace.rounds[0], forged_round),
                           final=trace.final)
     problems = information_audit(forged)
@@ -183,8 +208,7 @@ def test_audit_flags_wrong_sender(two_user_scenario):
                       sender="user_1", payload=(0, 1.0))
     forged_round = type(rnd)(broadcast=rnd.broadcast,
                              reports=(spoofed,) + rnd.reports[1:],
-                             decisions=rnd.decisions, load_cycles=rnd.load_cycles,
-                             feasible=rnd.feasible, revenue_s=rnd.revenue_s)
+                             outcome=rnd.outcome)
     forged = BargainTrace(rounds=(forged_round,) + trace.rounds[1:],
                           final=trace.final)
     assert any("does not match" in p for p in information_audit(forged))

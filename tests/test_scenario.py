@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,6 +97,60 @@ def test_invalid_config_bounds_rejected():
         sample_scenario(bad)
     with pytest.raises(ValueError, match="num_users"):
         sample_scenario(ScenarioConfig(num_users=0))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)
+                                  if f.name not in ("num_users", "seed")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_config_field_rejected(name, value):
+    bad = ScenarioConfig(**{name: value})
+    assert any(v.startswith(f"{name} must be finite")
+               for v in config_violations(bad))
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        sample_scenario(bad)
+
+
+def _grid_speeds(lo, hi, step):
+    # the local CPU grid written out, as sampling once built it
+    steps = int(round((hi - lo) / step)) + 1
+    grid = lo + step * np.arange(steps)
+    return grid[grid <= hi * (1 + 1e-12)]
+
+
+@pytest.mark.parametrize("lo, hi, step, points", [
+    (1e8, 1e9, 1e8, 10),
+    (1e8, 1e9, 3.5e8, 3),      # the span rounds to 4 points; the last exceeds max
+    (1e8, 1e9, 7e7, 13),
+    (3e8, 1.7e9, 1.1e8, 13),
+    (2.5e8, 2.5e8, 1e8, 1),
+    (1e8, 1e9, 1e3, 900_001),
+])
+def test_local_cpu_draws_match_the_grid(lo, hi, step, points):
+    cfg = ScenarioConfig(num_users=200, seed=21, local_cpu_min_cps=lo,
+                         local_cpu_max_cps=hi, local_cpu_step_cps=step)
+    grid = _grid_speeds(lo, hi, step)
+    assert len(grid) == points
+    rng = np.random.default_rng(cfg.seed)
+    rng.uniform(cfg.gain_db_min, cfg.gain_db_max, cfg.num_users)
+    idx = rng.integers(0, len(grid), cfg.num_users)
+    speeds = [u.local_cpu_cps for u in sample_scenario(cfg).users]
+    assert speeds == [float(grid[i]) for i in idx]
+    if points <= 13:
+        assert set(speeds) == set(grid.tolist())
+
+
+def test_sampling_does_not_build_the_local_cpu_grid():
+    # a 1 kHz step puts 900,001 points on the default range
+    cfg = ScenarioConfig(num_users=3, local_cpu_step_cps=1e3)
+    # the first draw imports numpy.random, which is not what is measured
+    sample_scenario(ScenarioConfig(num_users=3))
+    tracemalloc.start()
+    try:
+        sample_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_config_file_round_trip(tmp_path):
