@@ -16,8 +16,11 @@ price * ell * cycles_per_bit carries seconds and adds directly to latency.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # scenario imports this module to derive Scenario.kinetics
     from .scenario import Scenario, SystemParams, UserProfile
@@ -38,27 +41,36 @@ def _shannon_rate(sys_: SystemParams, power_w: float, gain: float) -> float:
     """Sub-band rate W * log2(1 + p*h / (W*N0)) with W = bandwidth/num_users.
 
     log1p keeps the rate strictly positive down to vanishing signal power.
+    Unchecked: the public rates check their inputs, and a built ``Scenario``
+    has already validated its own.
     """
     w = sys_.per_user_bandwidth_hz
-    for name, v in (("bandwidth share", w), ("power", power_w), ("gain", gain),
-                    ("noise psd", sys_.noise_psd_w_per_hz)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0 (got {v})")
     snr = power_w * gain / (w * sys_.noise_psd_w_per_hz)
     return w * math.log1p(snr) / math.log(2.0)
 
 
+def _checked_rate(sys_: SystemParams, power_w: float, gain: float) -> float:
+    for name, v in (("bandwidth share", sys_.per_user_bandwidth_hz),
+                    ("power", power_w), ("gain", gain),
+                    ("noise psd", sys_.noise_psd_w_per_hz)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0 (got {v})")
+    return _shannon_rate(sys_, power_w, gain)
+
+
 def uplink_rate(sys_: SystemParams, user: UserProfile) -> float:
-    return _shannon_rate(sys_, user.uplink_power_w, user.channel_gain_linear)
+    return _checked_rate(sys_, user.uplink_power_w, user.channel_gain_linear)
 
 
 def downlink_rate(sys_: SystemParams, user: UserProfile) -> float:
-    return _shannon_rate(sys_, user.downlink_power_w, user.channel_gain_linear)
+    return _checked_rate(sys_, user.downlink_power_w, user.channel_gain_linear)
 
 
 def compute_kinetics(sys_: SystemParams, user: UserProfile) -> UserKinetics:
-    r_up = uplink_rate(sys_, user)
-    r_down = downlink_rate(sys_, user)
+    """One user's kinetics from validated inputs (a built ``Scenario``'s);
+    unlike ``uplink_rate`` and ``downlink_rate`` it does not re-check them."""
+    r_up = _shannon_rate(sys_, user.uplink_power_w, user.channel_gain_linear)
+    r_down = _shannon_rate(sys_, user.downlink_power_w, user.channel_gain_linear)
     share = sys_.per_user_cloud_speed_cps
     beta = 1.0 / r_up + user.cycles_per_bit / share + user.output_ratio / r_down
     balance = (user.cycles_per_bit * user.data_bits
@@ -78,6 +90,41 @@ def compute_kinetics(sys_: SystemParams, user: UserProfile) -> UserKinetics:
 
 def scenario_kinetics(scenario: Scenario) -> tuple[UserKinetics, ...]:
     return tuple(compute_kinetics(scenario.system, u) for u in scenario.users)
+
+
+@dataclass(frozen=True, eq=False)
+class UserColumns:
+    """Per-user read-only float arrays, in user order, for pricing every user
+    at once. Each entry is computed with the same operations, in the same
+    order, as the scalar formulas below, and elementwise + - * / on float64
+    rounds like Python floats, so results built from them are bit-identical
+    to the scalar ones."""
+
+    threshold: np.ndarray          # 1 / local_cpu_cps: offload iff price <= it
+    balance_bits: np.ndarray
+    load_cycles: np.ndarray        # balance_bits * cycles_per_bit
+    local_s: np.ndarray            # all-local latency and cost
+    offload_latency_s: np.ndarray  # task_latency at balance_bits
+
+
+def user_columns(users: Sequence[UserProfile],
+                 kin_all: Sequence[UserKinetics]) -> UserColumns:
+    data = np.array([u.data_bits for u in users])
+    cycles = np.array([u.cycles_per_bit for u in users])
+    cpu = np.array([u.local_cpu_cps for u in users])
+    balance = np.array([k.balance_bits for k in kin_all])
+    beta = np.array([k.beta_s_per_bit for k in kin_all])
+    columns = UserColumns(
+        threshold=1.0 / cpu,
+        balance_bits=balance,
+        load_cycles=balance * cycles,
+        local_s=data * cycles / cpu,
+        offload_latency_s=np.maximum((data - balance) * cycles / cpu,
+                                     beta * balance),
+    )
+    for column in vars(columns).values():
+        column.flags.writeable = False
+    return columns
 
 
 def _check_offload_size(user: UserProfile, ell: float) -> None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinetics import UserKinetics, scenario_kinetics
+from .kinetics import (UserColumns, UserKinetics, scenario_kinetics,
+                       user_columns)
 
 # Decimal kilobyte, consistent with the SI-style Hz/W units used everywhere else.
 BITS_PER_KB = 8e3
@@ -65,18 +66,22 @@ class UserProfile:
 class Scenario:
     """One offloading period. Building it runs ``validate_scenario`` (any
     violation raises ``ValueError``) and then derives every user's kinetics
-    once, in user order, for the solvers to read."""
+    once, in user order, and from them the per-user columns the solvers
+    price with."""
 
     system: SystemParams
     users: tuple[UserProfile, ...]
     kinetics: tuple[UserKinetics, ...] = field(init=False, compare=False,
                                                repr=False)
+    columns: UserColumns = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         problems = validate_scenario(self)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
         object.__setattr__(self, "kinetics", scenario_kinetics(self))
+        object.__setattr__(self, "columns",
+                           user_columns(self.users, self.kinetics))
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,32 @@ def config_violations(config: ScenarioConfig) -> list[str]:
                    ("data_kb_min", "data_kb_max")):
         if getattr(c, lo) > getattr(c, hi):
             out.append(f"{lo} must be <= {hi}")
+    if out:  # the range checks below need finite, ordered bounds
+        return out
+    # only the gain bounds may be negative, so only their span can overflow
+    if not math.isfinite(c.gain_db_max - c.gain_db_min):
+        out.append(f"gain_db_max - gain_db_min must be finite "
+                   f"(got {c.gain_db_max - c.gain_db_min})")
+    for name, to_si in (("noise_dbm_per_hz", dbm_to_watts),
+                        ("gain_db_min", db_to_linear),
+                        ("gain_db_max", db_to_linear),
+                        ("data_kb_max", lambda kb: kb * BITS_PER_KB)):
+        if not _finite_positive(to_si, getattr(c, name)):
+            out.append(f"{name} must convert to a finite SI value > 0 "
+                       f"(got {getattr(c, name)})")
+    # the sampler draws local CPU grid indices as int64
+    steps = (c.local_cpu_max_cps - c.local_cpu_min_cps) / c.local_cpu_step_cps
+    if not steps < 2.0**63:
+        out.append(f"(local_cpu_max_cps - local_cpu_min_cps) / "
+                   f"local_cpu_step_cps must be < 2**63 (got {steps})")
     return out
+
+
+def _finite_positive(to_si, value: float) -> bool:
+    try:
+        return 0.0 < to_si(value) < math.inf
+    except OverflowError:  # float ** overflows instead of returning inf
+        return False
 
 
 def _local_cpu_speed(config: ScenarioConfig, index: int) -> float:
@@ -212,6 +242,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                    f"(got {sys_.cloud_capacity_cycles})")
     if sys_.num_users < 1:
         out.append(f"system: num_users must be >= 1 (got {sys_.num_users})")
+    elif sys_.bandwidth_hz > 0 and not sys_.per_user_bandwidth_hz > 0:
+        out.append(f"system: bandwidth_hz / num_users must be > 0 "
+                   f"(got {sys_.per_user_bandwidth_hz})")
     if len(scenario.users) != sys_.num_users:
         out.append(f"user-list length {len(scenario.users)} does not match "
                    f"num_users {sys_.num_users}")

@@ -6,8 +6,8 @@ keeps every offload decision fixed while scaling revenue up, so interior
 prices are never optimal. ``price_walk`` visits the candidates from the most
 expensive down and stops at the first one whose induced load exceeds the
 cloud capacity (load only grows as the price falls); ``best_settled`` picks
-the outcome. It is the one copy of that walk: ``solve_uniform`` runs it and
-``protocol.run_bargaining`` records it as messages.
+the outcome. It is the one copy of that walk, and ``protocol.run_bargaining``
+records it as messages.
 
 At that first overflowing candidate the users tied at the price are
 indifferent between offloading and not, so the cloud serves them up to its
@@ -16,12 +16,22 @@ price offload their balance, as at the previous candidate, and the tied ones
 are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
 
+``solve_uniform`` returns what the walk settles on without walking it. With
+the thresholds sorted once, each candidate serves a prefix of the users.
+Exact prefix sums of the balance loads find the first overflowing candidate;
+each revenue above it is screened as price times load, within a certified
+relative error band, and only the candidates inside the band (one or two in
+practice) are rescored exactly, plus the rationed one. Its cost is a sort
+and those rescorings, however many CPU tiers there are; the walk evaluates
+every user at each candidate it visits.
+
 ``evaluate_prices`` turns one price per user into an outcome; the shared
-price (``evaluate_price``) and the per-user scheme both go through it. It and
-``ration_tie`` build every ``PriceOutcome`` the same way, from the prices and
-the decisions (``_priced_outcome``). Every function reads the users'
-kinetics from ``Scenario.kinetics``; the exhaustive reference walk lives in
-``verify``.
+price (``evaluate_price``) and the per-user scheme both go through it. It
+computes every user's best response at once from ``Scenario.columns`` with
+the operations of ``follower.best_response``, so the decisions are
+bit-identical to it. It and ``ration_tie`` build every ``PriceOutcome`` the
+same way, from the prices and the decisions (``_priced_outcome``). The
+exhaustive reference walk lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -29,6 +39,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+
+import numpy as np
 
 from .follower import OffloadDecision, best_response
 from .scenario import Scenario
@@ -79,17 +93,35 @@ def _priced_outcome(scenario: Scenario, prices: Sequence[float],
     )
 
 
+def _best_responses(scenario: Scenario, prices: float | np.ndarray
+                    ) -> tuple[OffloadDecision, ...]:
+    """``follower.best_response`` of every user at one shared price or at its
+    own, computed at once from ``Scenario.columns``."""
+    if not np.greater_equal(prices, 0.0).all():  # NaN fails too
+        raise ValueError(f"price must be >= 0 (got {np.min(prices)})")
+    c = scenario.columns
+    offload = prices <= c.threshold
+    # a user who keeps its data local pays 0, so NO_OFFLOAD_PRICE (inf)
+    # never multiplies a load
+    paid = np.where(offload, prices, 0.0)
+    cost = np.where(offload, (paid - c.threshold) * c.load_cycles + c.local_s,
+                    c.local_s)
+    return tuple(map(OffloadDecision, range(len(offload)),
+                     np.where(offload, c.balance_bits, 0.0).tolist(),
+                     offload.view(np.uint8).tolist(),
+                     cost.tolist(),
+                     np.where(offload, c.offload_latency_s, c.local_s).tolist(),
+                     (paid * c.load_cycles).tolist()))
+
+
 def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome:
     """Best responses of every user at its own price, plus the seller view.
 
     Ties offload. If the induced load exceeds the capacity the outcome is
     marked infeasible and its revenue reported as zero.
     """
-    users, kin_all = scenario.users, scenario.kinetics
-    return _priced_outcome(scenario, prices, [
-        best_response(kin_all[k], users[k], prices[k], user_index=k)
-        for k in range(len(users))
-    ])
+    return _priced_outcome(scenario, prices, _best_responses(
+        scenario, np.asarray(prices, dtype=float)))
 
 
 def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
@@ -97,7 +129,8 @@ def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
 
     When the outcome overflows, the walk settles on ``ration_tie`` instead.
     """
-    return evaluate_prices(scenario, (price,) * len(scenario.users))
+    return _priced_outcome(scenario, (price,) * len(scenario.users),
+                           _best_responses(scenario, price))
 
 
 def ration_tie(scenario: Scenario, price: float,
@@ -181,7 +214,42 @@ def best_settled(scenario: Scenario,
 
 
 def solve_uniform(scenario: Scenario) -> PriceOutcome:
-    """The best outcome settled along ``price_walk``, which stops at the
-    first overflowing candidate."""
-    return best_settled(scenario,
-                        (settled for _, settled in price_walk(scenario)))
+    """What ``best_settled`` picks along ``price_walk``, found without
+    walking.
+
+    The users sorted by threshold, falling, offload in prefixes. Exact
+    prefix sums of their loads (``_exact_units``) give each candidate's load
+    rounded as ``evaluate_price`` rounds it, up to the first overflowing
+    candidate, which ``ration_tie`` settles. A fitting candidate's revenue,
+    the fsum of its payments price * load, and its screened price * load
+    differ by four roundings of relative size 2**-53 at most, so they lie
+    within a relative 2**-50 of each other (plus a floor for subnormal
+    payments). A candidate whose band stays below the best lower bound earns
+    strictly less than some rescored outcome, so ``best_settled`` over the
+    rescored ones picks what the walk picks, ties to the larger price
+    included.
+    """
+    c = scenario.columns
+    capacity = scenario.system.cloud_capacity_cycles
+    order = np.argsort(c.threshold)[::-1]
+    screened: list[tuple[float, float]] = []   # (price, price * load) that fit
+    rationed = None
+    total = 0
+    for price, group in groupby(zip(c.threshold[order].tolist(),
+                                    c.load_cycles[order].tolist()),
+                                key=itemgetter(0)):
+        total += sum(_exact_units(x) for _, x in group)
+        load = total / _EXACT_UNIT
+        if load > capacity:
+            rationed = ration_tie(scenario, price,
+                                  _best_responses(scenario, price))
+            break
+        screened.append((price, price * load))
+
+    rel, tiny = 2.0**-50, (len(order) + 4) * 2.0**-1074
+    floor = max([r - r * rel - tiny for _, r in screened]
+                + [rationed.revenue_s if rationed is not None else 0.0])
+    return best_settled(scenario, [
+        evaluate_price(scenario, price)
+        for price, r in screened if r + r * rel + tiny >= floor
+    ] + [rationed])

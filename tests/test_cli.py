@@ -117,3 +117,15 @@ def test_non_finite_config_bound_is_reported(tmp_path, capsys, line, command):
         args = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
     assert main(args) == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, name", [
+    ("gain_db_min = -1e308\ngain_db_max = 1e308\n", "gain_db_max - gain_db_min"),
+    ("local_cpu_max_cps = 1e300\n", "local_cpu_max_cps"),
+], ids=["gain_span", "cpu_max"])
+def test_config_bound_out_of_range_is_reported(tmp_path, capsys, text, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err

@@ -70,6 +70,21 @@ def test_rates_reject_nonfinite_inputs():
         uplink_rate(system, make_profile(uplink_power_w=math.nan))
 
 
+@pytest.mark.parametrize("rate", [uplink_rate, downlink_rate])
+@pytest.mark.parametrize("field", ["power", "channel_gain_linear",
+                                   "noise_psd_w_per_hz"])
+def test_rates_reject_zero_inputs(rate, field):
+    system, user = make_system(2, 6e9), make_profile()
+    if field == "noise_psd_w_per_hz":
+        system = replace(system, noise_psd_w_per_hz=0.0)
+    elif field == "power":
+        user = replace(user, uplink_power_w=0.0, downlink_power_w=0.0)
+    else:
+        user = replace(user, channel_gain_linear=0.0)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        rate(system, user)
+
+
 # ---------------------------------------------------------- kinetics
 
 def test_balance_hand_value():

@@ -110,6 +110,24 @@ def test_non_finite_config_field_rejected(name, value):
         sample_scenario(bad)
 
 
+@pytest.mark.parametrize("overrides, name", [
+    ({"gain_db_min": -1e308, "gain_db_max": 1e308}, "gain_db_max - gain_db_min"),
+    ({"local_cpu_max_cps": 1e300}, "local_cpu_max_cps"),
+    ({"local_cpu_step_cps": 1e-320}, "local_cpu_step_cps"),
+    ({"gain_db_min": 3990.0, "gain_db_max": 4000.0}, "gain_db_min"),
+    ({"gain_db_min": -4000.0}, "gain_db_min"),
+    ({"noise_dbm_per_hz": 4000.0}, "noise_dbm_per_hz"),
+    ({"data_kb_max": 1e306}, "data_kb_max"),
+], ids=["gain_span", "cpu_max", "cpu_step", "gain_overflow", "gain_underflow",
+        "noise_overflow", "data_overflow"])
+def test_config_bound_out_of_range_rejected(overrides, name):
+    bad = ScenarioConfig(**overrides)
+    assert any(name in v for v in config_violations(bad))
+    with pytest.raises(ValueError, match=rf"invalid scenario config: .*"
+                                         rf"{re.escape(name)}"):
+        sample_scenario(bad)
+
+
 def _grid_speeds(lo, hi, step):
     # the local CPU grid written out, as sampling once built it
     steps = int(round((hi - lo) / step)) + 1

@@ -1,14 +1,15 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edgeprice import (NO_OFFLOAD_PRICE, Scenario, ScenarioConfig,
-                       candidate_prices, evaluate_price, run_bargaining,
-                       sample_scenario, solve_uniform)
-from edgeprice.uniform import (_EXACT_UNIT, _exact_units, best_settled,
-                               price_walk)
+                       best_response, candidate_prices, evaluate_price,
+                       run_bargaining, sample_scenario, solve_uniform)
+from edgeprice.uniform import (_EXACT_UNIT, _exact_units, _priced_outcome,
+                               best_settled, evaluate_prices, price_walk)
 from edgeprice.verify import (grid_revenue_max, random_scenario_config,
                               solve_uniform_exhaustive)
 
@@ -286,3 +287,92 @@ def test_rationed_round_matches_independent_reference():
                            for f, u in zip(flags, s.users))
     assert rationed >= 100
     assert tied_served > 0
+
+
+def _scalar_decisions(scenario, prices):
+    return tuple(best_response(k, u, p, user_index=i) for i, (k, u, p)
+                 in enumerate(zip(scenario.kinetics, scenario.users, prices)))
+
+
+def test_column_responses_equal_scalar_best_response():
+    # repr tells every float apart, signed zeros included
+    rng = np.random.default_rng(38)
+    checked = 0
+    for _ in range(80):
+        s = sample_scenario(random_scenario_config(rng, max_users=40))
+        ks = len(s.users)
+        cands = candidate_prices(s)
+        shared = (cands + [(a + b) / 2 for a, b in zip(cands, cands[1:])]
+                  + [0.0, 0.5 * cands[0], 2.0 * cands[-1], NO_OFFLOAD_PRICE])
+        for price in shared:
+            out = evaluate_price(s, price)
+            assert repr(out.decisions) == repr(
+                _scalar_decisions(s, (price,) * ks))
+            assert out == _priced_outcome(s, (price,) * ks, out.decisions)
+            checked += 1
+        picks = rng.integers(0, len(shared), size=(3, ks))
+        for row in picks:
+            prices = tuple(shared[i] for i in row)
+            out = evaluate_prices(s, prices)
+            assert repr(out.decisions) == repr(_scalar_decisions(s, prices))
+            assert out.prices == prices
+            checked += 1
+    assert checked > 1500
+
+
+def test_negative_or_nan_price_rejected():
+    scenario = balanced_two_user_scenario()
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="price must be >= 0"):
+            evaluate_price(scenario, bad)
+        with pytest.raises(ValueError, match="price must be >= 0"):
+            evaluate_prices(scenario, (1e-9, bad))
+
+
+def test_sorted_solve_matches_exhaustive_on_fine_grids():
+    # fine CPU grids give ~K candidates; capacities cut the total balance
+    # load anywhere from nothing to all of it
+    rng = np.random.default_rng(39)
+    binding = rationed_wins = 0
+    for _ in range(100):
+        config = replace(random_scenario_config(rng, max_users=100),
+                         local_cpu_step_cps=float(10.0 ** rng.uniform(5, 7)))
+        drawn = sample_scenario(config)
+        total = math.fsum(k.balance_bits * u.cycles_per_bit
+                          for k, u in zip(drawn.kinetics, drawn.users))
+        s = Scenario(replace(drawn.system, cloud_capacity_cycles=float(
+            total * rng.uniform(0.0, 1.1))), drawn.users)
+        out = solve_uniform(s)
+        assert out == solve_uniform_exhaustive(s)
+        walk = [induced for induced, _ in price_walk(s)]
+        for induced in walk[:-1]:
+            # the screen's premise: price * load is within 2**-50 of revenue
+            screened = induced.prices[0] * induced.total_load_cycles
+            assert abs(screened - induced.revenue_s) \
+                <= 2.0**-50 * induced.revenue_s
+        binding += not walk[-1].feasible
+        rationed_wins += (out.revenue_s > 0
+                          and out != evaluate_price(s, out.prices[0]))
+    assert binding >= 70
+    assert rationed_wins > 0
+
+
+def test_sorted_solve_rescores_few_candidates():
+    # the walk builds ~2,564 outcomes here, one per candidate
+    scenario = sample_scenario(ScenarioConfig(
+        num_users=3000, seed=3, capacity_cycles=6e11, local_cpu_step_cps=1e5))
+    assert len(candidate_prices(scenario)) > 2500
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is _priced_outcome.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        out = solve_uniform(scenario)
+    finally:
+        sys.setprofile(None)
+    assert 1 <= calls <= 3
+    assert out.revenue_s > 0
