@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .differentiated import DEFAULT_QUANTUM_CYCLES, solve_differentiated
+from .differentiated import solve_differentiated
 from .scenario import (Scenario, ScenarioConfig, config_from_mapping,
                        parse_number, read_key_values, sample_scenario)
 from .uniform import solve_uniform
@@ -60,13 +60,11 @@ class SweepSpec:
 
 def local_only_latency(scenario: Scenario) -> float:
     """Mean over users of the all-local time data_bits * cycles_per_bit / cpu."""
-    return math.fsum(u.data_bits * u.cycles_per_bit / u.local_cpu_cps
-                     for u in scenario.users) / len(scenario.users)
+    return math.fsum(scenario.columns.local_s.tolist()) / len(scenario.users)
 
 
 def run_trial(scenario: Scenario, scheme: str, sweep_param: str = "none",
-              sweep_value: float = 0.0, seed: int = 0,
-              quantum: float = DEFAULT_QUANTUM_CYCLES) -> TrialResult:
+              sweep_value: float = 0.0, seed: int = 0) -> TrialResult:
     if scheme == SCHEME_LOCAL_ONLY:
         latency = local_only_latency(scenario)
         revenue = 0.0
@@ -74,7 +72,7 @@ def run_trial(scenario: Scenario, scheme: str, sweep_param: str = "none",
         if scheme == SCHEME_UNIFORM:
             outcome = solve_uniform(scenario)
         elif scheme == SCHEME_DIFFERENTIATED:
-            outcome = solve_differentiated(scenario, quantum=quantum)
+            outcome = solve_differentiated(scenario)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         latency = (math.fsum(d.latency_s for d in outcome.decisions)
@@ -115,8 +113,7 @@ def trial_seed(spec: SweepSpec, point_index: int, trial_index: int) -> int:
     return spec.base.seed + point_index * _POINT_STRIDE + trial_index
 
 
-def run_sweep(spec: SweepSpec,
-              quantum: float = DEFAULT_QUANTUM_CYCLES) -> list[TrialResult]:
+def run_sweep(spec: SweepSpec) -> list[TrialResult]:
     """All (point, trial, scheme) results, deterministic in (spec, base seed)."""
     _validate_spec(spec)
     results: list[TrialResult] = []
@@ -131,8 +128,7 @@ def run_sweep(spec: SweepSpec,
             for scheme in SCHEMES:
                 results.append(run_trial(scenario, scheme,
                                          sweep_param=spec.sweep_param,
-                                         sweep_value=float(value), seed=seed,
-                                         quantum=quantum))
+                                         sweep_value=float(value), seed=seed))
     return results
 
 

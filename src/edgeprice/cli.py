@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .bench import load_sweep_spec, run_sweep, run_trial, write_csv, SCHEMES
-from .differentiated import DEFAULT_QUANTUM_CYCLES, solve_differentiated
+from .differentiated import solve_differentiated
 from .protocol import format_trace, run_bargaining, write_trace
 from .scenario import ScenarioConfig, load_scenario_config, sample_scenario
 from .uniform import solve_uniform
@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
         outcome = solve_uniform(scenario)
         print(f"price_s_per_cycle={_fmt(outcome.prices[0])}")
     else:
-        outcome = solve_differentiated(scenario, quantum=args.quantum)
+        outcome = solve_differentiated(scenario)
     print(f"feasible={outcome.feasible}")
     print(f"total_load_cycles={_fmt(outcome.total_load_cycles)}")
     print(f"revenue_s={_fmt(outcome.revenue_s)}")
@@ -57,7 +57,7 @@ def _cmd_sweep(args) -> int:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
-    results = run_sweep(spec, quantum=args.quantum)
+    results = run_sweep(spec)
     write_csv(results, args.out)
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="scenario config file")
     run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--scheme", choices=SCHEMES, default="uniform")
-    run_p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM_CYCLES,
-                       help="knapsack weight quantum in cycles")
     run_p.set_defaults(handler=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="Monte Carlo sweep to CSV")
@@ -101,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", required=True, help="CSV output path")
     sweep_p.add_argument("--seed", type=int, help="override the base seed")
     sweep_p.add_argument("--trials", type=int, help="override trials per point")
-    sweep_p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM_CYCLES)
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     trace_p = sub.add_parser("trace", help="run the bargaining protocol and "

@@ -184,20 +184,19 @@ def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
                             total_value=total_value, value_bound=0.0)
 
 
-def solve_differentiated(scenario: Scenario,
-                         quantum: float = DEFAULT_QUANTUM_CYCLES) -> PriceOutcome:
+def solve_differentiated(scenario: Scenario) -> PriceOutcome:
     """Per-user prices: 1/local_cpu_cps for knapsack winners, sentinel otherwise.
 
     The winners come from subset enumeration up to 20 users and from the
-    quantized DP beyond.
+    DP quantized to ``DEFAULT_QUANTUM_CYCLES`` beyond.
     """
-    inst = build_knapsack(scenario, scenario.kinetics, quantum)
+    inst = build_knapsack(scenario, scenario.kinetics)
     if len(scenario.users) <= BRUTE_FORCE_MAX_ITEMS:
         solution = solve_knapsack_bruteforce(inst)
     else:
         solution = solve_knapsack_dp(inst)
-    prices = tuple(1.0 / u.local_cpu_cps if chosen else NO_OFFLOAD_PRICE
-                   for u, chosen in zip(scenario.users, solution.selected))
+    prices = np.where(solution.selected, scenario.columns.threshold,
+                      NO_OFFLOAD_PRICE).tolist()
     outcome = evaluate_prices(scenario, prices)
     if not outcome.feasible:
         raise RuntimeError(f"per-user load {outcome.total_load_cycles!r} exceeds "

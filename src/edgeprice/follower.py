@@ -7,9 +7,12 @@ otherwise offload nothing. At exactly 1/local_cpu_cps the cost is flat in
 the offload size up to the balance point, so the user is indifferent. The
 tie resolves to offloading, which is what lets the seller price right at
 that threshold. A cloud whose budget cannot take every tied user may decline
-some of them (see ``uniform.ration_tie``); a declined user gets its best
-response at ``uniform.NO_OFFLOAD_PRICE``, keeping everything local at the
-same cost.
+some of them (see ``uniform.ration_tie``); a declined user answers
+``uniform.NO_OFFLOAD_PRICE``, keeping everything local at the same cost.
+
+``best_response`` is the scalar reference: the solvers compute the same
+decisions from ``Scenario.columns`` (``uniform._priced_outcome``), tested bit
+for bit against it, and only the oracles in ``verify`` call it.
 """
 
 from __future__ import annotations

@@ -68,17 +68,21 @@ def downlink_rate(sys_: SystemParams, user: UserProfile) -> float:
 
 def compute_kinetics(sys_: SystemParams, user: UserProfile) -> UserKinetics:
     """One user's kinetics from validated inputs (a built ``Scenario``'s);
-    unlike ``uplink_rate`` and ``downlink_rate`` it does not re-check them."""
+    unlike ``uplink_rate`` and ``downlink_rate`` it does not re-check them.
+    Valid inputs can still round to a rate that is not finite and > 0, or to
+    a balance point outside (0, data_bits); either raises ``ValueError``."""
     r_up = _shannon_rate(sys_, user.uplink_power_w, user.channel_gain_linear)
     r_down = _shannon_rate(sys_, user.downlink_power_w, user.channel_gain_linear)
+    for name, rate in (("uplink rate", r_up), ("downlink rate", r_down)):
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"{name} must be finite and > 0 (got {rate!r})")
     share = sys_.per_user_cloud_speed_cps
     beta = 1.0 / r_up + user.cycles_per_bit / share + user.output_ratio / r_down
     balance = (user.cycles_per_bit * user.data_bits
                / (beta * user.local_cpu_cps + user.cycles_per_bit))
-    # beta > 0 forces 0 < balance < data_bits
     if not 0.0 < balance < user.data_bits:
-        raise RuntimeError(f"balance {balance!r} outside (0, data_bits "
-                           f"{user.data_bits!r})")
+        raise ValueError(f"balance_bits {balance!r} outside (0, data_bits "
+                         f"{user.data_bits!r})")
     return UserKinetics(
         uplink_rate_bps=r_up,
         downlink_rate_bps=r_down,
@@ -89,7 +93,14 @@ def compute_kinetics(sys_: SystemParams, user: UserProfile) -> UserKinetics:
 
 
 def scenario_kinetics(scenario: Scenario) -> tuple[UserKinetics, ...]:
-    return tuple(compute_kinetics(scenario.system, u) for u in scenario.users)
+    """Every user's ``compute_kinetics``; an error names the user."""
+    kin_all = []
+    for i, user in enumerate(scenario.users):
+        try:
+            kin_all.append(compute_kinetics(scenario.system, user))
+        except ValueError as exc:
+            raise ValueError(f"invalid scenario: user {i}: {exc}") from None
+    return tuple(kin_all)
 
 
 @dataclass(frozen=True, eq=False)

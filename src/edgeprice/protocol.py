@@ -13,8 +13,10 @@ only its broadcast and reports are messages, and its decisions are never sent.
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
 admitted set follows from that round's (index, bits) reports and the
-cycles_per_bit and local_cpu_cps the cloud already holds, so rationing adds
-no message: the trace shows the reports it was decided from.
+cycles_per_bit and local_cpu_cps the cloud already holds: ``ration_tie``
+reads each offloader's load from ``Scenario.columns``, and that column load
+equals its reported bits times its cycles_per_bit. So rationing adds no
+message: the trace shows the reports it was decided from.
 
 Rounds are synchronous and lossless: every report arrives before the next
 broadcast. The trace serializes to one message per line for golden-file

@@ -245,6 +245,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     elif sys_.bandwidth_hz > 0 and not sys_.per_user_bandwidth_hz > 0:
         out.append(f"system: bandwidth_hz / num_users must be > 0 "
                    f"(got {sys_.per_user_bandwidth_hz})")
+    elif (sys_.per_user_bandwidth_hz > 0 and sys_.noise_psd_w_per_hz > 0
+          and not sys_.per_user_bandwidth_hz * sys_.noise_psd_w_per_hz > 0):
+        # the noise power of a sub-band divides every SNR
+        out.append(f"system: bandwidth_hz / num_users * noise_psd_w_per_hz "
+                   f"must be > 0 (got "
+                   f"{sys_.per_user_bandwidth_hz * sys_.noise_psd_w_per_hz})")
     if len(scenario.users) != sys_.num_users:
         out.append(f"user-list length {len(scenario.users)} does not match "
                    f"num_users {sys_.num_users}")

@@ -25,13 +25,13 @@ practice) are rescored exactly, plus the rationed one. Its cost is a sort
 and those rescorings, however many CPU tiers there are; the walk evaluates
 every user at each candidate it visits.
 
-``evaluate_prices`` turns one price per user into an outcome; the shared
-price (``evaluate_price``) and the per-user scheme both go through it. It
-computes every user's best response at once from ``Scenario.columns`` with
-the operations of ``follower.best_response``, so the decisions are
-bit-identical to it. It and ``ration_tie`` build every ``PriceOutcome`` the
-same way, from the prices and the decisions (``_priced_outcome``). The
-exhaustive reference walk lives in ``verify``.
+One function, ``_priced_outcome``, turns prices into every ``PriceOutcome``:
+it computes each user's best response from ``Scenario.columns`` with the
+operations of ``follower.best_response`` (so bit-identical to it) and totals
+load and revenue from the same arrays. ``evaluate_prices`` (per-user
+scheme), ``evaluate_price`` and ``ration_tie`` end in it; ``ration_tie``
+admits from the columns and keeps a declined user local by pricing it at
+``NO_OFFLOAD_PRICE``. The exhaustive reference walk lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .follower import OffloadDecision, best_response
+from .follower import OffloadDecision
 from .scenario import Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
@@ -74,44 +74,38 @@ class PriceOutcome:
 
 def candidate_prices(scenario: Scenario) -> list[float]:
     """Deduplicated {1/local_cpu_cps}, ascending."""
-    return sorted({1.0 / u.local_cpu_cps for u in scenario.users})
+    return np.unique(scenario.columns.threshold).tolist()
 
 
 def _priced_outcome(scenario: Scenario, prices: Sequence[float],
-                    decisions: Sequence[OffloadDecision]) -> PriceOutcome:
-    """The seller view of ``decisions``: load, feasibility and revenue."""
-    load = math.fsum(d.offloaded_bits * u.cycles_per_bit
-                     for d, u in zip(decisions, scenario.users))
-    feasible = load <= scenario.system.cloud_capacity_cycles
-    revenue = math.fsum(d.payment_s for d in decisions) if feasible else 0.0
-    return PriceOutcome(
-        prices=tuple(prices),
-        decisions=tuple(decisions),
-        total_load_cycles=load,
-        revenue_s=revenue,
-        feasible=feasible,
-    )
-
-
-def _best_responses(scenario: Scenario, prices: float | np.ndarray
-                    ) -> tuple[OffloadDecision, ...]:
-    """``follower.best_response`` of every user at one shared price or at its
-    own, computed at once from ``Scenario.columns``."""
-    if not np.greater_equal(prices, 0.0).all():  # NaN fails too
-        raise ValueError(f"price must be >= 0 (got {np.min(prices)})")
+                    paid_at: float | np.ndarray) -> PriceOutcome:
+    """The outcome of posting ``prices`` when every user answers ``paid_at``
+    (one shared price or one per user): each user's best response, computed
+    at once from ``Scenario.columns``, and the seller view of them (load,
+    feasibility, and the revenue, 0 when infeasible)."""
+    if not np.greater_equal(paid_at, 0.0).all():  # NaN fails too
+        raise ValueError(f"price must be >= 0 (got {np.min(paid_at)})")
     c = scenario.columns
-    offload = prices <= c.threshold
+    offload = paid_at <= c.threshold
     # a user who keeps its data local pays 0, so NO_OFFLOAD_PRICE (inf)
     # never multiplies a load
-    paid = np.where(offload, prices, 0.0)
+    paid = np.where(offload, paid_at, 0.0)
+    payment = paid * c.load_cycles
     cost = np.where(offload, (paid - c.threshold) * c.load_cycles + c.local_s,
                     c.local_s)
-    return tuple(map(OffloadDecision, range(len(offload)),
-                     np.where(offload, c.balance_bits, 0.0).tolist(),
-                     offload.view(np.uint8).tolist(),
-                     cost.tolist(),
-                     np.where(offload, c.offload_latency_s, c.local_s).tolist(),
-                     (paid * c.load_cycles).tolist()))
+    decisions = tuple(map(OffloadDecision, range(len(offload)),
+                          np.where(offload, c.balance_bits, 0.0).tolist(),
+                          offload.view(np.uint8).tolist(),
+                          cost.tolist(),
+                          np.where(offload, c.offload_latency_s,
+                                   c.local_s).tolist(),
+                          payment.tolist()))
+    load = math.fsum(c.load_cycles[offload].tolist())
+    feasible = load <= scenario.system.cloud_capacity_cycles
+    revenue = math.fsum(payment[offload].tolist()) if feasible else 0.0
+    return PriceOutcome(prices=tuple(prices), decisions=decisions,
+                        total_load_cycles=load, revenue_s=revenue,
+                        feasible=feasible)
 
 
 def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome:
@@ -120,8 +114,7 @@ def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome
     Ties offload. If the induced load exceeds the capacity the outcome is
     marked infeasible and its revenue reported as zero.
     """
-    return _priced_outcome(scenario, prices, _best_responses(
-        scenario, np.asarray(prices, dtype=float)))
+    return _priced_outcome(scenario, prices, np.asarray(prices, dtype=float))
 
 
 def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
@@ -129,22 +122,19 @@ def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
 
     When the outcome overflows, the walk settles on ``ration_tie`` instead.
     """
-    return _priced_outcome(scenario, (price,) * len(scenario.users),
-                           _best_responses(scenario, price))
+    return _priced_outcome(scenario, (price,) * len(scenario.users), price)
 
 
-def ration_tie(scenario: Scenario, price: float,
-               decisions: Sequence[OffloadDecision]) -> PriceOutcome | None:
+def ration_tie(scenario: Scenario, price: float) -> PriceOutcome | None:
     """Serve the users tied at an overflowing shared price up to the capacity.
 
-    ``decisions`` are the best responses at ``price``, ties offloading. Only
-    their offloaded bits (what each user reports) are read, together with
-    the cycles_per_bit and local_cpu_cps the cloud holds. Users whose
-    threshold 1/local_cpu_cps lies strictly above the price are served. The
-    tied users are served whole, in index order, each only if its load still
-    fits; the others are declined: each gets its best response at
-    ``NO_OFFLOAD_PRICE``, keeping everything local. Returns None
-    when the users strictly above the price overflow the capacity by
+    Admission reads only each user's threshold 1/local_cpu_cps and balance
+    load, which the cloud knows from the users' reports at ``price``. Users
+    whose threshold lies strictly above the price are served. The tied users
+    are served whole, in index order, each only if its load still fits; the
+    others are declined: each answers ``NO_OFFLOAD_PRICE``, keeping
+    everything local, while the posted price stays ``price``. Returns
+    None when the users strictly above the price overflow the capacity by
     themselves (below the walk's first overflowing candidate).
 
     The running load is an exact integer sum of the float loads (in units of
@@ -153,25 +143,19 @@ def ration_tie(scenario: Scenario, price: float,
     reported as ``total_load_cycles``, so rounding never takes the load over
     the capacity.
     """
-    users = scenario.users
+    c = scenario.columns
     capacity = scenario.system.cloud_capacity_cycles
-    loads = [d.offloaded_bits * u.cycles_per_bit for d, u in zip(decisions, users)]
-    tied = [x > 0.0 and 1.0 / u.local_cpu_cps == price
-            for x, u in zip(loads, users)]
-    total = sum(_exact_units(x) for x, t in zip(loads, tied)
-                if x > 0.0 and not t)
+    total = sum(map(_exact_units, c.load_cycles[c.threshold > price].tolist()))
     if total / _EXACT_UNIT > capacity:
         return None
-    served = list(decisions)
-    for k, (x, t) in enumerate(zip(loads, tied)):
-        if t:
-            grown = total + _exact_units(x)
-            if grown / _EXACT_UNIT <= capacity:
-                total = grown
-            else:
-                served[k] = best_response(scenario.kinetics[k], users[k],
-                                          NO_OFFLOAD_PRICE, user_index=k)
-    outcome = _priced_outcome(scenario, (price,) * len(users), served)
+    paid_at = np.full(len(c.threshold), price)
+    for k in np.flatnonzero(c.threshold == price).tolist():
+        grown = total + _exact_units(c.load_cycles[k].item())
+        if grown / _EXACT_UNIT <= capacity:
+            total = grown
+        else:
+            paid_at[k] = NO_OFFLOAD_PRICE
+    outcome = _priced_outcome(scenario, (price,) * len(paid_at), paid_at)
     if not outcome.feasible:
         raise RuntimeError(f"rationed load {outcome.total_load_cycles!r} "
                            f"exceeds capacity {capacity!r}")
@@ -193,7 +177,7 @@ def price_walk(scenario: Scenario
         if induced.feasible:
             yield induced, induced
         else:
-            yield induced, ration_tie(scenario, price, induced.decisions)
+            yield induced, ration_tie(scenario, price)
             return
 
 
@@ -241,8 +225,7 @@ def solve_uniform(scenario: Scenario) -> PriceOutcome:
         total += sum(_exact_units(x) for _, x in group)
         load = total / _EXACT_UNIT
         if load > capacity:
-            rationed = ration_tie(scenario, price,
-                                  _best_responses(scenario, price))
+            rationed = ration_tie(scenario, price)
             break
         screened.append((price, price * load))
 

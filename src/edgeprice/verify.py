@@ -156,7 +156,7 @@ def solve_uniform_exhaustive(scenario: Scenario) -> PriceOutcome:
     for price in reversed(candidate_prices(scenario)):
         induced = evaluate_price(scenario, price)
         settled.append(induced if induced.feasible
-                       else ration_tie(scenario, price, induced.decisions))
+                       else ration_tie(scenario, price))
     return best_settled(scenario, settled)
 
 

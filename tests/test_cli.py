@@ -122,7 +122,16 @@ def test_non_finite_config_bound_is_reported(tmp_path, capsys, line, command):
 @pytest.mark.parametrize("text, name", [
     ("gain_db_min = -1e308\ngain_db_max = 1e308\n", "gain_db_max - gain_db_min"),
     ("local_cpu_max_cps = 1e300\n", "local_cpu_max_cps"),
-], ids=["gain_span", "cpu_max"])
+    # bandwidth share times noise psd underflows to 0
+    ("bandwidth_hz = 1e-310\n", "noise_psd_w_per_hz"),
+    # power * gain underflows, so the SNR and the uplink rate are 0
+    ("uplink_power_w = 1e-300\ngain_db_min = -300\ngain_db_max = -300\n",
+     "user 0: uplink rate"),
+    # a vanishing uplink rate pushes the balance point to 0
+    ("uplink_power_w = 1e-300\ngain_db_min = -200\ngain_db_max = -200\n",
+     "user 0: balance_bits"),
+], ids=["gain_span", "cpu_max", "noise_underflow", "zero_rate",
+        "balance_underflow"])
 def test_config_bound_out_of_range_is_reported(tmp_path, capsys, text, name):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

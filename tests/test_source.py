@@ -8,13 +8,30 @@ import edgeprice
 PACKAGE_DIR = Path(edgeprice.__file__).resolve().parent
 
 
-def test_no_assert_statements():
-    # runtime invariants are explicit raises, so they survive python -O
+def _nodes():
+    """(module path, node) for every AST node of the package source."""
     modules = sorted(PACKAGE_DIR.rglob("*.py"))
     assert PACKAGE_DIR / "uniform.py" in modules
-    found = [f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
-             for path in modules
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
-                                            filename=str(path)))
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.relative_to(PACKAGE_DIR), node
+
+
+def test_no_assert_statements():
+    # runtime invariants are explicit raises, so they survive python -O
+    found = [f"{path}:{node.lineno}" for path, node in _nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_scalar_best_response_stays_off_the_solvers():
+    # the solvers price from Scenario.columns; the scalar follower is the
+    # reference they are checked against, called only where it is defined
+    # and by the oracles
+    found = [f"{path}:{node.lineno}" for path, node in _nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "best_response"
+             and path.name not in ("follower.py", "verify.py")]
     assert found == []

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeprice import (NO_OFFLOAD_PRICE, Scenario, ScenarioConfig,
                        best_response, candidate_prices, evaluate_price,
@@ -15,6 +16,8 @@ from edgeprice.verify import (grid_revenue_max, random_scenario_config,
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
                       make_profile, make_system, tied_tier_scenario)
+
+TIER_CPUS = (1e9, 5e8, 2.5e8)
 
 
 def test_candidates_are_sorted_reciprocals():
@@ -289,6 +292,45 @@ def test_rationed_round_matches_independent_reference():
     assert tied_served > 0
 
 
+@st.composite
+def tied_tier_capacities(draw):
+    """K users on 1-3 CPU tiers with the capacity at an exact prefix sum of
+    the loads served at one tier's price (those above it, then its tied
+    users in index order), or one ulp below or above that sum."""
+    k = draw(st.integers(1, 12))
+    cpus = draw(st.lists(st.sampled_from(TIER_CPUS), min_size=1, max_size=3,
+                         unique=True))
+    users = tuple(make_profile(
+        data_bits=draw(st.floats(1e5, 4e6)),
+        cycles_per_bit=draw(st.floats(500.0, 1500.0)),
+        local_cpu_cps=draw(st.sampled_from(cpus)),
+        channel_gain_linear=draw(st.floats(1e-6, 1e-3))) for _ in range(k))
+    drawn = Scenario(make_system(k, 0.0), users)
+    price = 1.0 / draw(st.sampled_from(cpus))
+    loads = [(1.0 / u.local_cpu_cps, kin.balance_bits * u.cycles_per_bit)
+             for kin, u in zip(drawn.kinetics, users)]
+    above = [x for t, x in loads if t > price]
+    tied = [x for t, x in loads if t == price]
+    capacity = math.fsum(above + tied[:draw(st.integers(0, len(tied)))])
+    capacity = math.nextafter(capacity, draw(st.sampled_from(
+        (capacity, -math.inf, math.inf))))
+    return Scenario(make_system(k, max(capacity, 0.0)), users)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(tied_tier_capacities())
+def test_rationing_at_exact_and_one_ulp_capacities(s):
+    out = solve_uniform(s)
+    assert out == solve_uniform_exhaustive(s)
+    assert out == run_bargaining(s).final
+    assert out.total_load_cycles <= s.system.cloud_capacity_cycles
+    induced, settled = list(price_walk(s))[-1]
+    if not induced.feasible and settled is not None:
+        flags, admitted = _reference_ration(s, s.kinetics, induced.prices[0])
+        assert [d.offload_flag for d in settled.decisions] == flags
+        assert settled.total_load_cycles == math.fsum(admitted)
+
+
 def _scalar_decisions(scenario, prices):
     return tuple(best_response(k, u, p, user_index=i) for i, (k, u, p)
                  in enumerate(zip(scenario.kinetics, scenario.users, prices)))
@@ -308,7 +350,11 @@ def test_column_responses_equal_scalar_best_response():
             out = evaluate_price(s, price)
             assert repr(out.decisions) == repr(
                 _scalar_decisions(s, (price,) * ks))
-            assert out == _priced_outcome(s, (price,) * ks, out.decisions)
+            load = _served_load(out, s)
+            feasible = load <= s.system.cloud_capacity_cycles
+            revenue = math.fsum(d.payment_s for d in out.decisions)
+            assert (out.total_load_cycles, out.feasible, out.revenue_s) == (
+                load, feasible, revenue if feasible else 0.0)
             checked += 1
         picks = rng.integers(0, len(shared), size=(3, ks))
         for row in picks:
