@@ -68,7 +68,8 @@ def _cmd_trace(args) -> int:
     trace = run_bargaining(sample_scenario(config))
     if args.out:
         write_trace(trace, args.out)
-        print(f"wrote {sum(1 for _ in trace.messages())} messages to {args.out}")
+        messages = sum(1 + len(r.reports) for r in trace.rounds) + 1
+        print(f"wrote {messages} messages to {args.out}")
     else:
         sys.stdout.write(format_trace(trace))
     return 0

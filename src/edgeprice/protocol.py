@@ -8,7 +8,8 @@ the next lower candidate or terminates. The full exchange is recorded as an
 auditable trace whose final outcome is ``uniform.best_settled`` over the
 rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
 the outcome its price induces, ties offloading, as ``price_walk`` yields it;
-only its broadcast and reports are messages, and its decisions are never sent.
+only its broadcast and reports are messages. The reports are read off the
+outcome's offload-size column, so the replay builds no decision records.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -20,13 +21,14 @@ message: the trace shows the reports it was decided from.
 
 Rounds are synchronous and lossless: every report arrives before the next
 broadcast. The trace serializes to one message per line for golden-file
-comparisons.
+comparisons; ``write_trace`` streams those lines to the file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .scenario import Scenario
@@ -79,14 +81,14 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
     """
     rounds: list[BargainRound] = []
     settled: list[PriceOutcome | None] = []
+    users = range(len(scenario.users))
+    senders = [f"user_{i}" for i in users]
     for round_index, (induced, outcome) in enumerate(price_walk(scenario)):
         broadcast = Message(kind=PRICE_BROADCAST, round=round_index,
                             sender=CLOUD, payload=induced.prices[0])
-        reports = tuple(
-            Message(kind=OFFLOAD_REPORT, round=round_index,
-                    sender=f"user_{d.user_index}",
-                    payload=(d.user_index, d.offloaded_bits))
-            for d in induced.decisions)
+        reports = tuple(map(Message, repeat(OFFLOAD_REPORT),
+                            repeat(round_index), senders,
+                            zip(users, induced.decisions.offloaded_bits)))
         rounds.append(BargainRound(broadcast=broadcast, reports=reports,
                                    outcome=induced))
         settled.append(outcome)
@@ -98,22 +100,23 @@ def information_audit(trace: BargainTrace) -> list[str]:
     """Flag any message whose payload leaks more than the protocol allows.
 
     Broadcasts may carry exactly one finite nonnegative price; reports
-    exactly (user index, offloaded bits); terminations nothing. Reports must
-    reference the price round they answer.
+    exactly (user index >= 0, finite nonnegative offloaded bits);
+    terminations nothing. Reports must reference the price round they answer.
     """
-    violations: list[str] = []
+    found: list[tuple[int, Message, str]] = []   # labelled only when found
+
+    def flag(problem: str) -> None:
+        found.append((pos, msg, problem))
+
     current_round: int | None = None
     for pos, msg in enumerate(trace.messages()):
-        where = f"message {pos} ({msg.kind}, round {msg.round})"
         if msg.kind == PRICE_BROADCAST:
             if msg.sender != CLOUD:
-                violations.append(f"{where}: broadcast from non-cloud sender "
-                                  f"{msg.sender!r}")
+                flag(f"broadcast from non-cloud sender {msg.sender!r}")
             if not (isinstance(msg.payload, float)
-                    and msg.payload >= 0.0
-                    and not math.isnan(msg.payload)):
-                violations.append(f"{where}: broadcast payload must be a single "
-                                  f"nonnegative price, got {msg.payload!r}")
+                    and 0.0 <= msg.payload < math.inf):
+                flag(f"broadcast payload must be a single finite nonnegative "
+                     f"price, got {msg.payload!r}")
             current_round = msg.round
         elif msg.kind == OFFLOAD_REPORT:
             payload = msg.payload
@@ -121,44 +124,57 @@ def information_audit(trace: BargainTrace) -> list[str]:
                     or not isinstance(payload[0], int)
                     or isinstance(payload[0], bool)
                     or not isinstance(payload[1], float)):
-                violations.append(f"{where}: report payload must be "
-                                  f"(user index, offloaded bits), got {payload!r}")
+                flag(f"report payload must be (user index, offloaded bits), "
+                     f"got {payload!r}")
                 continue
-            if msg.sender != f"user_{payload[0]}":
-                violations.append(f"{where}: sender {msg.sender!r} does not match "
-                                  f"reported index {payload[0]}")
-            if not payload[1] >= 0.0:
-                violations.append(f"{where}: negative offload report {payload[1]}")
+            user, bits = payload
+            if user < 0:
+                flag(f"negative user index {user}")
+            if msg.sender != f"user_{user}":
+                flag(f"sender {msg.sender!r} does not match reported index {user}")
+            if not 0.0 <= bits < math.inf:
+                flag(f"offload report must be finite and nonnegative, got {bits!r}")
             if msg.round != current_round:
-                violations.append(f"{where}: report references round {msg.round}, "
-                                  f"current broadcast is {current_round}")
+                flag(f"report references round {msg.round}, current broadcast "
+                     f"is {current_round}")
         elif msg.kind == TERMINATE:
             if msg.payload is not None:
-                violations.append(f"{where}: terminate must carry no payload, "
-                                  f"got {msg.payload!r}")
+                flag(f"terminate must carry no payload, got {msg.payload!r}")
         else:
-            violations.append(f"{where}: unknown message kind {msg.kind!r}")
-    return violations
+            flag(f"unknown message kind {msg.kind!r}")
+    return [f"message {pos} ({msg.kind}, round {msg.round}): {problem}"
+            for pos, msg, problem in found]
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def format_trace(trace: BargainTrace) -> str:
-    """One message per line: round, kind, sender, payload fields."""
-    lines = []
+def _trace_lines(trace: BargainTrace) -> Iterator[str]:
+    """One line per message: round, kind, sender, payload fields. A user's
+    bits repeat across rounds, so each distinct float is formatted once."""
+    text: dict[float, str] = {}
     for msg in trace.messages():
         if msg.kind == PRICE_BROADCAST:
             payload = f"price={_fmt(msg.payload)}"
         elif msg.kind == OFFLOAD_REPORT:
-            payload = f"user={msg.payload[0]} bits={_fmt(msg.payload[1])}"
+            bits = msg.payload[1]
+            # 0.0 and -0.0 are one key but print apart: zeros skip the memo
+            shown = text.get(bits) if bits else _fmt(bits)
+            if shown is None:
+                shown = text[bits] = _fmt(bits)
+            payload = f"user={msg.payload[0]} bits={shown}"
         else:
             payload = "-"
-        lines.append(f"{msg.round}\t{msg.kind}\t{msg.sender}\t{payload}")
-    return "\n".join(lines) + "\n"
+        yield f"{msg.round}\t{msg.kind}\t{msg.sender}\t{payload}\n"
+
+
+def format_trace(trace: BargainTrace) -> str:
+    """One message per line: round, kind, sender, payload fields."""
+    return "".join(_trace_lines(trace))
 
 
 def write_trace(trace: BargainTrace, path: str) -> None:
+    """``format_trace`` to ``path``, written line by line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_trace(trace))
+        fh.writelines(_trace_lines(trace))

@@ -32,6 +32,10 @@ load and revenue from the same arrays. ``evaluate_prices`` (per-user
 scheme), ``evaluate_price`` and ``ration_tie`` end in it; ``ration_tie``
 admits from the columns and keeps a declined user local by pricing it at
 ``NO_OFFLOAD_PRICE``. The exhaustive reference walk lives in ``verify``.
+
+An outcome keeps its decisions as those columns (``Decisions``) and builds
+the ``OffloadDecision`` records on their first read, so the walk's outcomes,
+whose offload sizes alone the replay reads, never build them.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -61,12 +66,53 @@ def _exact_units(x: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
+class Decisions(Sequence):
+    """Every user's ``OffloadDecision``, kept as the columns they are read
+    from; the tuple of records is built on the first read and kept. It
+    compares, hashes, prints, indexes and slices as that tuple, and equals a
+    plain tuple of the same records."""
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        self._columns = columns   # bits, offload, cost, latency, payment
+
+    @property
+    def offloaded_bits(self) -> list[float]:
+        """Each user's offload size, without building the records."""
+        return self._columns[0].tolist()
+
+    @cached_property
+    def _records(self) -> tuple[OffloadDecision, ...]:
+        bits, offload, cost, latency, payment = self._columns
+        return tuple(map(OffloadDecision, range(len(bits)), bits.tolist(),
+                         offload.view(np.uint8).tolist(), cost.tolist(),
+                         latency.tolist(), payment.tolist()))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __iter__(self) -> Iterator[OffloadDecision]:
+        return iter(self._records)
+
+    def __eq__(self, other: object) -> bool:
+        other = other._records if isinstance(other, Decisions) else other
+        return self._records == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._records)
+
+    def __repr__(self) -> str:
+        return repr(self._records)
+
+
 @dataclass(frozen=True)
 class PriceOutcome:
     """A pricing solution, shared by the uniform and per-user schemes."""
 
     prices: tuple[float, ...]              # per user, s/cycle
-    decisions: tuple[OffloadDecision, ...]
+    decisions: Decisions                   # reads as a tuple of OffloadDecision
     total_load_cycles: float               # sum of offloaded_bits * cycles_per_bit
     revenue_s: float                       # sum of payments; 0 when infeasible
     feasible: bool                         # load within cloud capacity
@@ -93,13 +139,9 @@ def _priced_outcome(scenario: Scenario, prices: Sequence[float],
     payment = paid * c.load_cycles
     cost = np.where(offload, (paid - c.threshold) * c.load_cycles + c.local_s,
                     c.local_s)
-    decisions = tuple(map(OffloadDecision, range(len(offload)),
-                          np.where(offload, c.balance_bits, 0.0).tolist(),
-                          offload.view(np.uint8).tolist(),
-                          cost.tolist(),
-                          np.where(offload, c.offload_latency_s,
-                                   c.local_s).tolist(),
-                          payment.tolist()))
+    decisions = Decisions(np.where(offload, c.balance_bits, 0.0), offload,
+                          cost, np.where(offload, c.offload_latency_s,
+                                         c.local_s), payment)
     load = math.fsum(c.load_cycles[offload].tolist())
     feasible = load <= scenario.system.cloud_capacity_cycles
     revenue = math.fsum(payment[offload].tolist()) if feasible else 0.0

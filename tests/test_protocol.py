@@ -1,7 +1,11 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from edgeprice import (Message, NO_OFFLOAD_PRICE, ScenarioConfig, best_response,
+from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
+                       ScenarioConfig, best_response,
                        evaluate_price, format_trace, information_audit,
                        run_bargaining, sample_scenario, solve_uniform,
                        write_trace)
@@ -236,3 +240,74 @@ def test_broadcast_payloads_are_prices_only(two_user_scenario):
             assert isinstance(msg.payload, float)
         elif msg.kind == OFFLOAD_REPORT:
             assert isinstance(msg.payload, tuple) and len(msg.payload) == 2
+
+
+def _forged_broadcast(trace: BargainTrace, price) -> BargainTrace:
+    rnd = trace.rounds[0]
+    broadcast = Message(kind=PRICE_BROADCAST, round=rnd.broadcast.round,
+                        sender=CLOUD, payload=price)
+    forged_round = type(rnd)(broadcast=broadcast, reports=rnd.reports,
+                             outcome=rnd.outcome)
+    return BargainTrace(rounds=(forged_round,) + trace.rounds[1:],
+                        final=trace.final)
+
+
+def test_audit_flags_infinite_price(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    problems = information_audit(_forged_broadcast(trace, math.inf))
+    assert len(problems) == 1 and "finite nonnegative price" in problems[0]
+
+
+def test_audit_flags_infinite_offload_report(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    problems = information_audit(_forged(trace, 0, (0, math.inf)))
+    assert len(problems) == 1 and "finite and nonnegative" in problems[0]
+
+
+def test_audit_flags_negative_user_index(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    rnd = trace.rounds[0]
+    negative = Message(kind=OFFLOAD_REPORT, round=rnd.broadcast.round,
+                       sender="user_-1", payload=(-1, 0.0))
+    forged_round = type(rnd)(broadcast=rnd.broadcast,
+                             reports=(negative,) + rnd.reports[1:],
+                             outcome=rnd.outcome)
+    forged = BargainTrace(rounds=(forged_round,) + trace.rounds[1:],
+                          final=trace.final)
+    problems = information_audit(forged)
+    assert problems == ["message 1 (OffloadReport, round 0): "
+                        "negative user index -1"]
+
+
+def test_trace_zero_bits_keep_their_sign(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    signed = _forged(_forged(trace, 0, (0, 0.0)), 1, (0, -0.0))
+    lines = format_trace(signed).splitlines()
+    assert lines[1].endswith("bits=0")
+    assert lines[len(trace.rounds[0].reports) + 2].endswith("bits=-0")
+
+
+def test_replay_builds_no_decision_records():
+    # the replay, its trace and its audit read only the offload-size column;
+    # building one OffloadDecision per user per round is what they avoid
+    scenario = sample_scenario(ScenarioConfig(num_users=500, seed=11,
+                                              capacity_cycles=500 * 2e8))
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is OffloadDecision.__init__.__code__:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = run_bargaining(scenario)
+        format_trace(trace)
+        problems = information_audit(trace)
+        replayed = built
+        trace.final.decisions[0]   # the probe sees records once they are read
+    finally:
+        sys.setprofile(None)
+    assert problems == [] and len(trace.rounds) > 1
+    assert replayed == 0
+    assert built == len(scenario.users)

@@ -422,3 +422,39 @@ def test_sorted_solve_rescores_few_candidates():
         sys.setprofile(None)
     assert 1 <= calls <= 3
     assert out.revenue_s > 0
+
+
+@st.composite
+def priced_scenarios(draw):
+    """A random scenario and per-user prices: thresholds, points between and
+    around them, 0 and NO_OFFLOAD_PRICE."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = sample_scenario(random_scenario_config(rng, max_users=30))
+    cands = candidate_prices(s)
+    menu = cands + [0.0, 0.5 * cands[0], 2.0 * cands[-1], NO_OFFLOAD_PRICE]
+    ks = len(s.users)
+    prices = draw(st.one_of(
+        st.sampled_from(menu).map(lambda p: (p,) * ks),
+        st.lists(st.sampled_from(menu), min_size=ks, max_size=ks).map(tuple)))
+    return s, prices
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(priced_scenarios(), st.data())
+def test_column_decisions_read_as_scalar_tuple(case, data):
+    s, prices = case
+    decisions = evaluate_prices(s, prices).decisions
+    scalar = _scalar_decisions(s, prices)
+    assert decisions == scalar and scalar == decisions
+    assert not decisions != scalar
+    assert hash(decisions) == hash(scalar)
+    assert repr(decisions) == repr(scalar)
+    assert decisions.offloaded_bits == [d.offloaded_bits for d in scalar]
+    assert len(decisions) == len(scalar) and tuple(decisions) == scalar
+    ks = len(scalar)
+    i = data.draw(st.integers(-ks, ks - 1))
+    assert repr(decisions[i]) == repr(scalar[i])
+    cut = data.draw(st.slices(ks))
+    assert repr(decisions[cut]) == repr(scalar[cut])
+    assert decisions == evaluate_prices(s, prices).decisions
+    assert decisions != scalar[:-1] + (replace(scalar[-1], cost_s=-1.0),)
