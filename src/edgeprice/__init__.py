@@ -17,11 +17,11 @@ from .kinetics import (UserKinetics, compute_kinetics, downlink_rate, local_time
 from .follower import OffloadDecision, best_response
 from .uniform import (NO_OFFLOAD_PRICE, PriceOutcome, candidate_prices,
                       evaluate_price, solve_uniform)
-from .differentiated import (BRUTE_FORCE_MAX_ITEMS, DEFAULT_QUANTUM_CYCLES,
-                             KnapsackInstance, KnapsackSolution,
-                             TableBudgetExceeded, build_knapsack,
-                             solve_differentiated, solve_knapsack_bruteforce,
-                             solve_knapsack_dp)
+from .differentiated import (BRUTE_FORCE_MAX_ITEMS, NODE_BUDGET,
+                             KnapsackInstance, KnapsackSolution, build_knapsack,
+                             solve_differentiated,
+                             solve_knapsack_branch_and_bound,
+                             solve_knapsack_bruteforce)
 from .protocol import (BargainRound, BargainTrace, Message, format_trace,
                        information_audit, run_bargaining, write_trace)
 from .bench import (SCHEMES, SweepSpec, TrialResult, load_sweep_spec,

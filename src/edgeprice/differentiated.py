@@ -6,35 +6,30 @@ nothing. Choosing which users to serve is therefore a knapsack with weight
 balance_bits * cycles_per_bit, value weight / local_cpu_cps, and the cloud
 cycle budget as capacity. Unserved users get the no-offload sentinel price.
 
-The DP solver works on a quantized copy of the instance: weights round UP to
-the quantum grid and the capacity rounds DOWN, so any DP selection is
-feasible for the real instance. The value it may give up relative to the
-true optimum is reported as ``value_bound`` next to the solution: the
-smaller of (a) the total value of items whose weights were inflated by the
-rounding (dropping them from any real-feasible set leaves an on-grid set
-that still fits) and (b) the gap to a second, optimistic DP run with weights
-rounded DOWN and capacity rounded UP, whose value can never fall below the
-true optimum.
+Up to 20 users the knapsack is solved by subset enumeration, beyond that by
+a depth-first branch and bound on Dantzig's LP bound (Martello & Toth,
+*Knapsack Problems*, 1990, ch. 2). Both are exact. A search cut at
+``NODE_BUDGET`` nodes returns its best selection with a certified gap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
 from .kinetics import UserKinetics
 from .scenario import Scenario
-from .uniform import NO_OFFLOAD_PRICE, PriceOutcome, evaluate_prices
+from .uniform import (_EXACT_UNIT, NO_OFFLOAD_PRICE, PriceOutcome,
+                      _exact_units, evaluate_prices)
 
-DEFAULT_QUANTUM_CYCLES = 1e6
-MAX_TABLE_CELLS = 20_000_000     # DP table budget; past it, coarsen the quantum
 BRUTE_FORCE_MAX_ITEMS = 20
-
-
-class TableBudgetExceeded(ValueError):
-    """DP table would not fit the cell budget; coarsen the quantum."""
+NODE_BUDGET = 20_000   # branch-and-bound nodes; past it, return the best found
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,6 @@ class KnapsackInstance:
     weights: tuple[float, ...]   # cycles per item
     values: tuple[float, ...]    # seconds per item
     capacity: float              # cycles
-    quantum: float = DEFAULT_QUANTUM_CYCLES
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class KnapsackSolution:
     selected: tuple[bool, ...]
     total_weight: float
     total_value: float
-    value_bound: float = 0.0     # certified cap on value lost to quantization
+    value_bound: float = 0.0     # certified cap on value below the optimum
 
 
 def _validate_instance(inst: KnapsackInstance) -> None:
@@ -62,107 +56,99 @@ def _validate_instance(inst: KnapsackInstance) -> None:
                 raise ValueError(f"{name} {i} must be finite and > 0 (got {x})")
     if not (math.isfinite(inst.capacity) and inst.capacity >= 0):
         raise ValueError(f"capacity must be finite and >= 0 (got {inst.capacity})")
-    if not (math.isfinite(inst.quantum) and inst.quantum > 0):
-        raise ValueError(f"quantum must be finite and > 0 (got {inst.quantum})")
 
 
-def build_knapsack(scenario: Scenario, kin_all: tuple[UserKinetics, ...],
-                   quantum: float = DEFAULT_QUANTUM_CYCLES) -> KnapsackInstance:
+def build_knapsack(scenario: Scenario,
+                   kin_all: tuple[UserKinetics, ...]) -> KnapsackInstance:
     """One item per user; ``kin_all`` is the scenario's ``kinetics``."""
     weights = tuple(k.balance_bits * u.cycles_per_bit
                     for k, u in zip(kin_all, scenario.users))
     values = tuple(w / u.local_cpu_cps for w, u in zip(weights, scenario.users))
     return KnapsackInstance(weights=weights, values=values,
-                            capacity=scenario.system.cloud_capacity_cycles,
-                            quantum=quantum)
+                            capacity=scenario.system.cloud_capacity_cycles)
 
 
-def _units_round_up(weight: float, quantum: float) -> int:
-    units = int(math.ceil(weight / quantum))
-    while units * quantum < weight:  # guard against a low-rounded quotient
-        units += 1
-    return units
+def _solution(inst: KnapsackInstance,
+              selected: tuple[bool, ...]) -> KnapsackSolution:
+    total_weight = math.fsum(w for w, s in zip(inst.weights, selected) if s)
+    total_value = math.fsum(v for v, s in zip(inst.values, selected) if s)
+    return KnapsackSolution(selected=selected, total_weight=total_weight,
+                            total_value=total_value)
 
 
-def _units_round_down(value: float, quantum: float) -> int:
-    units = int(math.floor(value / quantum))
-    while units > 0 and units * quantum > value:
-        units -= 1
-    return units
+def _integers(xs: tuple[float, ...]) -> tuple[list[int], int]:
+    """``xs`` exactly, in units of 2**(shift - 1074) for the largest
+    ``shift`` that keeps every one whole, and that ``shift``."""
+    units = [_exact_units(x) for x in xs]
+    low = reduce(or_, units, 0)
+    shift = max((low & -low).bit_length() - 1, 0)
+    return [u >> shift for u in units], shift
 
 
-def _optimistic_value(inst: KnapsackInstance) -> float:
-    """Exact optimum of the relaxed instance (weights down, capacity up)."""
-    cap_units = _units_round_up(inst.capacity, inst.quantum)
-    best = np.zeros(cap_units + 1)
-    free = 0.0
-    for w, v in zip(inst.weights, inst.values):
-        units = _units_round_down(w, inst.quantum)
-        if units == 0:
-            free += v
-            continue
-        if units > cap_units:
-            continue
-        cand = best[: cap_units + 1 - units] + v
-        best[units:] = np.maximum(best[units:], cand)
-    return float(best[-1]) + free
+def solve_knapsack_branch_and_bound(inst: KnapsackInstance) -> KnapsackSolution:
+    """Exact optimum by depth-first branch and bound on Dantzig's LP bound.
 
+    Items are decided in falling value density, then index, each taken
+    before it is left out. A node is dropped when its LP bound (the items
+    left that fit whole, found by ``bisect`` on prefix sums, plus the
+    fitting fraction of the next) cannot beat the best selection found; once
+    every item left fits, all are taken. All arithmetic is on exact integers
+    (``_exact_units``), and a selection fits when the correctly rounded sum
+    of its weights is <= capacity, as in ``evaluate_prices``. Of selections
+    of equal value the first reached is kept: at the first item in density
+    order where two differ, the one holding it.
 
-def solve_knapsack_dp(inst: KnapsackInstance) -> KnapsackSolution:
-    """Exact DP on the conservatively quantized instance.
-
-    Value ties prefer the lighter selection. The returned selection always
-    satisfies the raw (unquantized) capacity.
+    After ``NODE_BUDGET`` nodes the best selection found is returned, with
+    ``value_bound`` the root LP bound minus its value; 0 proves it optimal.
     """
     _validate_instance(inst)
     n = len(inst.weights)
-    cap_units = _units_round_down(inst.capacity, inst.quantum)
-    if n * (cap_units + 1) > MAX_TABLE_CELLS:
-        raise TableBudgetExceeded(
-            f"{n} items x {cap_units + 1} capacity units exceeds the "
-            f"{MAX_TABLE_CELLS}-cell budget; use a coarser quantum")
-    item_units = [_units_round_up(w, inst.quantum) for w in inst.weights]
+    weights, w_shift = _integers(inst.weights)
+    values, v_shift = _integers(inst.values)
+    # the largest exact load whose correctly rounded float is <= capacity
+    cap = _exact_units(inst.capacity) + _exact_units(math.ulp(inst.capacity)) // 2
+    cap = (cap if cap / _EXACT_UNIT <= inst.capacity else cap - 1) >> w_shift
+    # ratios of integers below 2**b that differ do so by over 2**-2b
+    scale = 2 * max(weights, default=1).bit_length()
+    order = sorted(range(n),
+                   key=lambda i: (-((values[i] << scale) // weights[i]), i))
+    w, v = ([xs[i] for i in order] for xs in (weights, values))
+    pw, pv = (list(accumulate(xs, initial=0)) for xs in (w, v))
 
-    best_val = np.zeros(cap_units + 1)
-    best_wt = np.zeros(cap_units + 1, dtype=np.int64)
-    take = np.zeros((n, cap_units + 1), dtype=bool)
-    for i in range(n):
-        w = item_units[i]
-        if w > cap_units:
-            continue
-        cand_val = best_val[: cap_units + 1 - w] + inst.values[i]
-        cand_wt = best_wt[: cap_units + 1 - w] + w
-        cur_val = best_val[w:]
-        cur_wt = best_wt[w:]
-        better = (cand_val > cur_val) | ((cand_val == cur_val) & (cand_wt < cur_wt))
-        take[i, w:] = better
-        best_val[w:] = np.where(better, cand_val, cur_val)
-        best_wt[w:] = np.where(better, cand_wt, cur_wt)
+    def lp_bound(d: int, room: int, value: int) -> tuple[int, int, int]:
+        """Items d..k-1 fit whole in ``room``: (value with them, k, room left)."""
+        k = bisect_right(pw, pw[d] + room, d) - 1
+        return value + pv[k] - pv[d], k, room - (pw[k] - pw[d])
 
-    selected = [False] * n
-    c = cap_units
-    for i in range(n - 1, -1, -1):
-        if take[i, c]:
-            selected[i] = True
-            c -= item_units[i]
+    best = (0, 0)                 # value, bit mask of the taken positions
+    stack = [(0, cap, 0, 0)]      # depth, room, value, mask
+    nodes = 0
+    while stack and nodes < NODE_BUDGET:
+        nodes += 1
+        d, room, value, taken = stack.pop()
+        whole, k, left = lp_bound(d, room, value)
+        if k == n:   # every item left fits
+            if whole > best[0]:
+                best = (whole, taken | (1 << n) - (1 << d))
+        elif (whole - best[0]) * w[k] + left * v[k] > 0:   # bound > best
+            if value > best[0]:
+                best = (value, taken)
+            stack.append((d + 1, room, value, taken))
+            if w[d] <= room:
+                stack.append((d + 1, room - w[d], value + v[d], taken | 1 << d))
 
-    total_weight = math.fsum(w for w, s in zip(inst.weights, selected) if s)
-    total_value = math.fsum(v for v, s in zip(inst.values, selected) if s)
-    if total_weight > inst.capacity:
-        raise RuntimeError(f"DP selection weight {total_weight!r} exceeds "
-                           f"capacity {inst.capacity!r}")
-
-    inflated = math.fsum(
-        v for w, u, v in zip(inst.weights, item_units, inst.values)
-        if w <= inst.capacity and u * inst.quantum > w)
-    bound = max(0.0, min(inflated, _optimistic_value(inst) - total_value))
-    return KnapsackSolution(selected=tuple(selected), total_weight=total_weight,
-                            total_value=total_value, value_bound=bound)
+    chosen = {order[p] for p in range(n) if best[1] >> p & 1}
+    solution = _solution(inst, tuple(i in chosen for i in range(n)))
+    if not stack:
+        return solution
+    whole, k, left = lp_bound(0, cap, 0)
+    root = ((whole * w[k] + left * v[k]) << v_shift) / (w[k] << 1074)
+    return replace(solution, value_bound=max(0.0, root - solution.total_value))
 
 
 def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     """Exact optimum by subset enumeration; ties pick the lexicographically
-    smallest selection vector. Test oracle, capped at 20 items."""
+    smallest selection vector. Capped at 20 items."""
     _validate_instance(inst)
     n = len(inst.weights)
     if n > BRUTE_FORCE_MAX_ITEMS:
@@ -178,23 +164,20 @@ def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     tied = np.flatnonzero(scored == top)
     selected = min(
         tuple(bool((int(mask) >> i) & 1) for i in range(n)) for mask in tied)
-    total_weight = math.fsum(w for w, s in zip(inst.weights, selected) if s)
-    total_value = math.fsum(v for v, s in zip(inst.values, selected) if s)
-    return KnapsackSolution(selected=selected, total_weight=total_weight,
-                            total_value=total_value, value_bound=0.0)
+    return _solution(inst, selected)
 
 
 def solve_differentiated(scenario: Scenario) -> PriceOutcome:
     """Per-user prices: 1/local_cpu_cps for knapsack winners, sentinel otherwise.
 
     The winners come from subset enumeration up to 20 users and from the
-    DP quantized to ``DEFAULT_QUANTUM_CYCLES`` beyond.
+    branch and bound beyond.
     """
     inst = build_knapsack(scenario, scenario.kinetics)
     if len(scenario.users) <= BRUTE_FORCE_MAX_ITEMS:
         solution = solve_knapsack_bruteforce(inst)
     else:
-        solution = solve_knapsack_dp(inst)
+        solution = solve_knapsack_branch_and_bound(inst)
     prices = np.where(solution.selected, scenario.columns.threshold,
                       NO_OFFLOAD_PRICE).tolist()
     outcome = evaluate_prices(scenario, prices)

@@ -102,23 +102,21 @@ def information_audit(trace: BargainTrace) -> list[str]:
     Broadcasts may carry exactly one finite nonnegative price; reports
     exactly (user index >= 0, finite nonnegative offloaded bits);
     terminations nothing. Reports must reference the price round they answer.
+    Every user reports in every round, so each round must hold as many
+    reports as the first, with indices below that count, each once.
     """
     found: list[tuple[int, Message, str]] = []   # labelled only when found
 
     def flag(problem: str) -> None:
         found.append((pos, msg, problem))
 
+    users = len(trace.rounds[0].reports) if trace.rounds else 0
+    senders = [f"user_{i}" for i in range(users)]   # built once, not per round
     current_round: int | None = None
+    reports, seen = 0, set()   # the current round's report count and indices
     for pos, msg in enumerate(trace.messages()):
-        if msg.kind == PRICE_BROADCAST:
-            if msg.sender != CLOUD:
-                flag(f"broadcast from non-cloud sender {msg.sender!r}")
-            if not (isinstance(msg.payload, float)
-                    and 0.0 <= msg.payload < math.inf):
-                flag(f"broadcast payload must be a single finite nonnegative "
-                     f"price, got {msg.payload!r}")
-            current_round = msg.round
-        elif msg.kind == OFFLOAD_REPORT:
+        if msg.kind == OFFLOAD_REPORT:
+            reports += 1
             payload = msg.payload
             if (not isinstance(payload, tuple) or len(payload) != 2
                     or not isinstance(payload[0], int)
@@ -130,13 +128,33 @@ def information_audit(trace: BargainTrace) -> list[str]:
             user, bits = payload
             if user < 0:
                 flag(f"negative user index {user}")
-            if msg.sender != f"user_{user}":
+            if msg.sender != (senders[user] if 0 <= user < users
+                              else f"user_{user}"):
                 flag(f"sender {msg.sender!r} does not match reported index {user}")
             if not 0.0 <= bits < math.inf:
                 flag(f"offload report must be finite and nonnegative, got {bits!r}")
             if msg.round != current_round:
                 flag(f"report references round {msg.round}, current broadcast "
                      f"is {current_round}")
+            if user >= users:
+                flag(f"user index {user} outside the first round's {users} users")
+            elif user in seen:
+                flag(f"second report from user {user} in this round")
+            seen.add(user)
+            continue
+        if msg.kind in (PRICE_BROADCAST, TERMINATE):   # ends the open round
+            if current_round is not None and reports != users:
+                flag(f"round {current_round} held {reports} reports, the first "
+                     f"round {users}")
+            current_round, reports, seen = None, 0, set()
+        if msg.kind == PRICE_BROADCAST:
+            if msg.sender != CLOUD:
+                flag(f"broadcast from non-cloud sender {msg.sender!r}")
+            if not (isinstance(msg.payload, float)
+                    and 0.0 <= msg.payload < math.inf):
+                flag(f"broadcast payload must be a single finite nonnegative "
+                     f"price, got {msg.payload!r}")
+            current_round = msg.round
         elif msg.kind == TERMINATE:
             if msg.payload is not None:
                 flag(f"terminate must carry no payload, got {msg.payload!r}")
@@ -155,18 +173,20 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     bits repeat across rounds, so each distinct float is formatted once."""
     text: dict[float, str] = {}
     for msg in trace.messages():
-        if msg.kind == PRICE_BROADCAST:
-            payload = f"price={_fmt(msg.payload)}"
-        elif msg.kind == OFFLOAD_REPORT:
-            bits = msg.payload[1]
+        p = msg.payload
+        head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
+        if (msg.kind == OFFLOAD_REPORT and type(p) is tuple and len(p) == 2
+                and type(p[0]) is int and type(p[1]) is float):
+            bits = p[1]
             # 0.0 and -0.0 are one key but print apart: zeros skip the memo
             shown = text.get(bits) if bits else _fmt(bits)
             if shown is None:
                 shown = text[bits] = _fmt(bits)
-            payload = f"user={msg.payload[0]} bits={shown}"
-        else:
-            payload = "-"
-        yield f"{msg.round}\t{msg.kind}\t{msg.sender}\t{payload}\n"
+            yield f"{head}user={p[0]} bits={shown}\n"
+        elif msg.kind == PRICE_BROADCAST and type(p) is float:
+            yield f"{head}price={_fmt(p)}\n"
+        else:   # no payload is "-"; any other is shown whole, for inspection
+            yield head + ("-\n" if p is None else f"payload={p!r}\n")
 
 
 def format_trace(trace: BargainTrace) -> str:

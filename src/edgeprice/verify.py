@@ -8,13 +8,13 @@ line. The acceptance test suite runs the same checks at pinned trial counts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .differentiated import (solve_differentiated, solve_knapsack_bruteforce,
-                             solve_knapsack_dp, build_knapsack, KnapsackInstance)
+from .differentiated import (build_knapsack, solve_differentiated,
+                             solve_knapsack_branch_and_bound,
+                             solve_knapsack_bruteforce)
 from .follower import best_response
 from .kinetics import (UserKinetics, local_time, offload_time, task_latency,
                        user_cost)
@@ -180,49 +180,24 @@ def check_bargaining_equivalence(seed: int = 0,
                        f"field for field")
 
 
-def random_knapsack(rng: np.random.Generator,
-                    max_items: int = 20) -> KnapsackInstance:
-    """Instance built from a sampled scenario, with a randomized quantum."""
-    scenario = _sample(rng, max_users=max_items)
-    inst = build_knapsack(scenario, scenario.kinetics)
-    quantum = float(10.0 ** rng.integers(5, 8))
-    return replace(inst, quantum=quantum)
-
-
-def snap_weights_up(inst: KnapsackInstance) -> KnapsackInstance:
-    snapped = tuple(inst.quantum * math.ceil(w / inst.quantum)
-                    for w in inst.weights)
-    return replace(inst, weights=snapped)
-
-
 def check_knapsack_oracle(seed: int = 0, instances: int = 500,
                           max_items: int = 20) -> CheckResult:
-    """DP vs subset enumeration: exact on grid weights, bounded off-grid."""
+    """Branch and bound vs subset enumeration: the same selection, proved."""
     rng = np.random.default_rng(seed)
     for _ in range(instances):
-        inst = random_knapsack(rng, max_items)
-
-        grid_inst = snap_weights_up(inst)
-        dp = solve_knapsack_dp(grid_inst)
-        bf = solve_knapsack_bruteforce(grid_inst)
-        if dp.total_value != bf.total_value:
-            return CheckResult("knapsack_oracle", False,
-                               f"grid-weight mismatch: dp {dp.total_value!r} vs "
-                               f"enumeration {bf.total_value!r}")
-
-        dp = solve_knapsack_dp(inst)
+        scenario = _sample(rng, max_users=max_items)
+        inst = build_knapsack(scenario, scenario.kinetics)
+        bb = solve_knapsack_branch_and_bound(inst)
         bf = solve_knapsack_bruteforce(inst)
-        slack = 1e-12 * (1.0 + abs(bf.total_value))
-        if dp.total_value < bf.total_value - dp.value_bound - slack:
+        if (bb.selected, bb.total_value, bb.value_bound) != (
+                bf.selected, bf.total_value, 0.0):
             return CheckResult("knapsack_oracle", False,
-                               f"dp fell {bf.total_value - dp.total_value:.3e} "
-                               f"below enumeration, bound {dp.value_bound:.3e}")
-        if dp.total_weight > inst.capacity:
-            return CheckResult("knapsack_oracle", False,
-                               "dp selection violates the raw capacity")
+                               f"branch and bound {bb} differs from "
+                               f"enumeration {bf}")
     return CheckResult("knapsack_oracle", True,
-                       f"{instances} instances up to {max_items} items: grid "
-                       f"weights exact, raw weights within the reported bound")
+                       f"{instances} instances up to {max_items} items: "
+                       f"branch and bound picks enumeration's selection, "
+                       f"each proved optimal")
 
 
 def check_revenue_dominance(seed: int = 0, scenarios: int = 1000,

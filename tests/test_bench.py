@@ -59,7 +59,7 @@ def _spec(**overrides):
     return SweepSpec(**base)
 
 
-@pytest.mark.parametrize("num_users", [12, 25])  # enumeration and DP paths
+@pytest.mark.parametrize("num_users", [12, 25])  # enumeration and branch-and-bound paths
 def test_trial_validates_once_and_derives_kinetics_once(num_users):
     # counted by code object, so no import alias can hide a call
     watched = {validate_scenario.__code__: "validate",

@@ -3,16 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeprice import (KnapsackInstance, NO_OFFLOAD_PRICE, TableBudgetExceeded,
-                       build_knapsack, sample_scenario, solve_differentiated, solve_knapsack_bruteforce,
-                       solve_knapsack_dp, solve_uniform)
-from edgeprice.verify import random_knapsack, random_scenario_config, snap_weights_up
+from edgeprice import (KnapsackInstance, NO_OFFLOAD_PRICE, ScenarioConfig,
+                       build_knapsack, sample_scenario, solve_differentiated,
+                       solve_knapsack_branch_and_bound, solve_knapsack_bruteforce,
+                       solve_uniform)
+from edgeprice.verify import random_scenario_config
 
 from conftest import balanced_two_user_scenario
 
 
 TWO_ITEMS = KnapsackInstance(weights=(4e8, 3e8), values=(0.4, 0.6),
-                             capacity=1e9, quantum=1e6)
+                             capacity=1e9)
 
 
 def test_build_knapsack_hand_values(two_user_scenario):
@@ -26,30 +27,31 @@ def test_build_knapsack_hand_values(two_user_scenario):
         assert v / w == pytest.approx(1.0 / u.local_cpu_cps, rel=1e-12)
 
 
-def test_dp_two_items_both_fit():
-    sol = solve_knapsack_dp(TWO_ITEMS)
+def test_bb_two_items_both_fit():
+    sol = solve_knapsack_branch_and_bound(TWO_ITEMS)
     assert sol.selected == (True, True)
     assert sol.total_value == pytest.approx(1.0, rel=1e-12)
-    assert sol.value_bound == 0.0  # weights already on the grid
+    assert sol.value_bound == 0.0
 
 
-def test_dp_two_items_tight_capacity():
-    sol = solve_knapsack_dp(replace(TWO_ITEMS, capacity=5e8))
+def test_bb_two_items_tight_capacity():
+    sol = solve_knapsack_branch_and_bound(replace(TWO_ITEMS, capacity=5e8))
     assert sol.selected == (False, True)
     assert sol.total_value == pytest.approx(0.6, rel=1e-12)
+    assert sol.value_bound == 0.0
 
 
-def test_dp_zero_capacity():
-    sol = solve_knapsack_dp(replace(TWO_ITEMS, capacity=0.0))
+def test_bb_zero_capacity():
+    sol = solve_knapsack_branch_and_bound(replace(TWO_ITEMS, capacity=0.0))
     assert sol.selected == (False, False)
     assert sol.total_value == 0.0
 
 
-def test_bruteforce_matches_dp_on_hand_instances():
+def test_bruteforce_matches_bb_on_hand_instances():
     for capacity in (1e9, 5e8, 0.0):
         inst = replace(TWO_ITEMS, capacity=capacity)
         assert (solve_knapsack_bruteforce(inst).selected
-                == solve_knapsack_dp(inst).selected)
+                == solve_knapsack_branch_and_bound(inst).selected)
 
 
 def test_bruteforce_nothing_fits():
@@ -59,8 +61,22 @@ def test_bruteforce_nothing_fits():
     assert sol.total_value == 0.0
 
 
+def test_bb_nothing_fits():
+    inst = KnapsackInstance(weights=(5.0, 7.0), values=(1.0, 2.0), capacity=4.0)
+    sol = solve_knapsack_branch_and_bound(inst)
+    assert sol.selected == (False, False)
+    assert sol.total_value == 0.0
+    assert sol.value_bound == 0.0
+
+
 def test_bruteforce_empty_instance():
     sol = solve_knapsack_bruteforce(KnapsackInstance((), (), capacity=10.0))
+    assert sol.selected == ()
+    assert sol.total_value == 0.0
+
+
+def test_bb_empty_instance():
+    sol = solve_knapsack_branch_and_bound(KnapsackInstance((), (), capacity=10.0))
     assert sol.selected == ()
     assert sol.total_value == 0.0
 
@@ -71,57 +87,86 @@ def test_bruteforce_item_cap():
         solve_knapsack_bruteforce(inst)
 
 
-def test_dp_tie_prefers_lighter_selection():
+def test_bb_tie_prefers_denser_item():
+    # equal values: the denser item, considered first, is the one kept
     inst = KnapsackInstance(weights=(3e6, 1e6), values=(0.5, 0.5),
-                            capacity=3e6, quantum=1e6)
-    assert solve_knapsack_dp(inst).selected == (False, True)
+                            capacity=3e6)
+    assert solve_knapsack_branch_and_bound(inst).selected == (False, True)
+
+
+def test_bb_tie_at_equal_density_prefers_lower_index():
+    inst = KnapsackInstance(weights=(2e6, 2e6), values=(0.5, 0.5),
+                            capacity=3e6)
+    assert solve_knapsack_branch_and_bound(inst).selected == (True, False)
 
 
 def test_bruteforce_tie_prefers_lexicographically_smallest():
     inst = KnapsackInstance(weights=(3e6, 1e6), values=(0.5, 0.5),
-                            capacity=3e6, quantum=1e6)
+                            capacity=3e6)
     assert solve_knapsack_bruteforce(inst).selected == (False, True)
 
 
-def test_dp_exact_on_grid_weights():
+def test_bb_matches_enumeration():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        inst = snap_weights_up(random_knapsack(rng, max_items=14))
-        dp = solve_knapsack_dp(inst)
+        s = sample_scenario(random_scenario_config(rng, max_users=14))
+        inst = build_knapsack(s, s.kinetics)
+        bb = solve_knapsack_branch_and_bound(inst)
         bf = solve_knapsack_bruteforce(inst)
-        assert dp.total_value == bf.total_value
+        assert bb.selected == bf.selected
+        assert bb.total_value == bf.total_value
+        assert bb.value_bound == 0.0
+        assert bb.total_weight <= inst.capacity
 
 
-def test_dp_within_reported_bound_on_raw_weights():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        inst = random_knapsack(rng, max_items=14)
-        dp = solve_knapsack_dp(inst)
-        bf = solve_knapsack_bruteforce(inst)
-        assert dp.total_weight <= inst.capacity
-        assert dp.total_value >= bf.total_value - dp.value_bound \
-            - 1e-12 * (1.0 + abs(bf.total_value))
+def test_bb_feasibility_is_the_rounded_sum():
+    # the exact sum of 0.1 and 0.2 lies halfway between 0.3 and the next
+    # float up and rounds to that one, so the pair does not fit 0.3
+    inst = KnapsackInstance(weights=(0.1, 0.2), values=(1.0, 1.0), capacity=0.3)
+    assert solve_knapsack_branch_and_bound(inst).total_weight <= 0.3
+    exact = replace(inst, capacity=0.1 + 0.2)
+    assert solve_knapsack_branch_and_bound(exact).selected == (True, True)
+    # 1 + 2**-60 rounds to 1.0, so the pair fits a capacity of 1.0
+    tiny = KnapsackInstance(weights=(1.0, 2.0**-60), values=(1.0, 1.0),
+                            capacity=1.0)
+    assert solve_knapsack_branch_and_bound(tiny).selected == (True, True)
 
 
-def test_dp_table_budget():
-    with pytest.raises(TableBudgetExceeded, match="coarser quantum"):
-        solve_knapsack_dp(replace(TWO_ITEMS, quantum=1.0))
-    # the same instance fits with a coarser quantum
-    solve_knapsack_dp(replace(TWO_ITEMS, quantum=1e6))
+def _dantzig_bound(inst: KnapsackInstance) -> float:
+    """Fractional-knapsack optimum: fill by falling density, split the first
+    item that does not fit."""
+    room, total = inst.capacity, 0.0
+    for v, w in sorted(zip(inst.values, inst.weights),
+                       key=lambda vw: vw[0] / vw[1], reverse=True):
+        if w > room:
+            return total + room * v / w
+        room -= w
+        total += v
+    return total
+
+
+def test_bb_budget_cut_certifies_its_gap():
+    # binding capacity at 300 users: the node budget runs out before the
+    # search proves optimality, and the answer is certified, not refused
+    s = sample_scenario(ScenarioConfig(num_users=300, seed=1,
+                                       capacity_cycles=300 * 2e8))
+    inst = build_knapsack(s, s.kinetics)
+    sol = solve_knapsack_branch_and_bound(inst)
+    assert sol.value_bound > 0.0
+    assert sol.total_weight <= inst.capacity
+    bound = _dantzig_bound(inst)
+    assert sol.total_value + sol.value_bound >= bound * (1.0 - 1e-12)
 
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        solve_knapsack_dp(KnapsackInstance((0.0,), (1.0,), capacity=1.0))
+        solve_knapsack_branch_and_bound(KnapsackInstance((0.0,), (1.0,), capacity=1.0))
     with pytest.raises(ValueError):
-        solve_knapsack_dp(KnapsackInstance((1.0,), (-1.0,), capacity=1.0))
+        solve_knapsack_branch_and_bound(KnapsackInstance((1.0,), (-1.0,), capacity=1.0))
     with pytest.raises(ValueError):
-        solve_knapsack_dp(KnapsackInstance((1.0,), (1.0,), capacity=-1.0))
+        solve_knapsack_branch_and_bound(KnapsackInstance((1.0,), (1.0,), capacity=-1.0))
     with pytest.raises(ValueError):
-        solve_knapsack_dp(KnapsackInstance((1.0,), (1.0,), capacity=1.0,
-                                           quantum=0.0))
-    with pytest.raises(ValueError):
-        solve_knapsack_dp(KnapsackInstance((1.0, 2.0), (1.0,), capacity=1.0))
+        solve_knapsack_branch_and_bound(KnapsackInstance((1.0, 2.0), (1.0,), capacity=1.0))
 
 
 def test_solve_differentiated_serves_both(two_user_scenario):
@@ -168,12 +213,23 @@ def test_revenue_dominates_uniform_exact_path():
         assert per_user >= uniform - 1e-12 * (1.0 + uniform)
 
 
-def test_revenue_dominates_uniform_dp_path_within_bound():
+def test_revenue_dominates_uniform_branch_and_bound_path():
     rng = np.random.default_rng(45)
     for _ in range(100):
-        s = sample_scenario(random_scenario_config(rng, max_users=30,
+        s = sample_scenario(random_scenario_config(rng, max_users=50,
                                                    min_users=21))
         uniform = solve_uniform(s).revenue_s
-        out = solve_differentiated(s)  # above 20 users: the quantized DP
-        bound = solve_knapsack_dp(build_knapsack(s, s.kinetics)).value_bound
-        assert out.revenue_s >= uniform - bound - 1e-12 * (1.0 + uniform)
+        per_user = solve_differentiated(s).revenue_s  # above 20 users
+        assert per_user >= uniform - 1e-12 * (1.0 + uniform)
+        inst = build_knapsack(s, s.kinetics)
+        assert solve_knapsack_branch_and_bound(inst).value_bound == 0.0
+
+
+@pytest.mark.parametrize("num_users", [1_000, 3_000])
+def test_solve_differentiated_answers_thousands_of_users(num_users):
+    s = sample_scenario(ScenarioConfig(num_users=num_users, seed=2,
+                                       capacity_cycles=num_users * 2e8))
+    out = solve_differentiated(s)
+    assert out.feasible
+    assert out.total_load_cycles <= s.system.cloud_capacity_cycles
+    assert out.revenue_s > 0.0

@@ -279,6 +279,55 @@ def test_audit_flags_negative_user_index(two_user_scenario):
                         "negative user index -1"]
 
 
+def _with_round(trace: BargainTrace, round_index: int, reports) -> BargainTrace:
+    rnd = trace.rounds[round_index]
+    rounds = list(trace.rounds)
+    rounds[round_index] = type(rnd)(broadcast=rnd.broadcast,
+                                    reports=tuple(reports), outcome=rnd.outcome)
+    return BargainTrace(rounds=tuple(rounds), final=trace.final)
+
+
+def test_audit_flags_a_user_reporting_twice(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    first = trace.rounds[0].reports[0]
+    forged = _with_round(trace, 0, (first, first))   # and none from user_1
+    assert information_audit(forged) == [
+        "message 2 (OffloadReport, round 0): second report from user 0 in "
+        "this round"]
+
+
+def test_audit_flags_a_report_from_outside_the_bargain(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    rnd = trace.rounds[0]
+    stranger = Message(kind=OFFLOAD_REPORT, round=rnd.broadcast.round,
+                       sender="user_7", payload=(7, 0.0))
+    forged = _with_round(trace, 0, (rnd.reports[0], stranger))
+    assert information_audit(forged) == [
+        "message 2 (OffloadReport, round 0): user index 7 outside the first "
+        "round's 2 users"]
+
+
+def test_audit_flags_a_round_short_of_reports(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    forged = _with_round(trace, 1, trace.rounds[1].reports[:1])
+    assert information_audit(forged) == [
+        "message 5 (Terminate, round 2): round 1 held 1 reports, the first "
+        "round 2"]
+
+
+def test_format_and_write_forged_trace(tmp_path, two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    forged = _forged(trace, 0, {"bits": 1.0})
+    assert information_audit(forged)
+    text = format_trace(forged)
+    lines, real = text.splitlines(), format_trace(trace).splitlines()
+    assert lines[1] == "0\tOffloadReport\tuser_0\tpayload={'bits': 1.0}"
+    assert lines[:1] + lines[2:] == real[:1] + real[2:]
+    path = tmp_path / "forged.log"
+    write_trace(forged, str(path))
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_trace_zero_bits_keep_their_sign(two_user_scenario):
     trace = run_bargaining(two_user_scenario)
     signed = _forged(_forged(trace, 0, (0, 0.0)), 1, (0, -0.0))
