@@ -119,6 +119,22 @@ def test_bb_matches_enumeration():
         assert bb.total_weight <= inst.capacity
 
 
+def test_bb_exact_on_grid_weights():
+    # weights rounded up to a coarse grid: sums land exactly on the capacity
+    # and on each other, the case where a float slip changes the selection
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        s = sample_scenario(random_scenario_config(rng, max_users=14))
+        inst = build_knapsack(s, s.kinetics)
+        grid = float(10.0 ** rng.integers(5, 8))
+        inst = replace(inst, weights=tuple(grid * np.ceil(np.divide(inst.weights, grid))))
+        bb = solve_knapsack_branch_and_bound(inst)
+        bf = solve_knapsack_bruteforce(inst)
+        assert bb.total_value == bf.total_value
+        assert bb.value_bound == 0.0
+        assert bb.total_weight <= inst.capacity
+
+
 def test_bb_feasibility_is_the_rounded_sum():
     # the exact sum of 0.1 and 0.2 lies halfway between 0.3 and the next
     # float up and rounds to that one, so the pair does not fit 0.3
