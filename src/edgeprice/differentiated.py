@@ -1,15 +1,17 @@
 """Seller-side per-user pricing, reduced to a 0/1 knapsack.
 
 A user charged its own threshold 1/local_cpu_cps offloads balance_bits and
-pays balance_bits * cycles_per_bit / local_cpu_cps; any higher price earns
-nothing. Choosing which users to serve is therefore a knapsack with weight
-balance_bits * cycles_per_bit, value weight / local_cpu_cps, and the cloud
-cycle budget as capacity. Unserved users get the no-offload sentinel price.
+pays it per cycle of its load; any higher price earns nothing. Choosing
+whom to serve is a knapsack over ``Scenario.columns``: weight ``load_cycles``,
+value the payment ``threshold * load_cycles`` the outcome reports, capacity
+the cloud cycle budget. Unserved users get the no-offload sentinel price.
 
 Up to 20 users the knapsack is solved by subset enumeration, beyond that by
 a depth-first branch and bound on Dantzig's LP bound (Martello & Toth,
-*Knapsack Problems*, 1990, ch. 2). Both are exact. A search cut at
-``NODE_BUDGET`` nodes returns its best selection with a certified gap.
+*Knapsack Problems*, 1990, ch. 2). Both are exact, and both count a
+selection as fitting when the correctly rounded sum of its weights is within
+the capacity, as ``evaluate_prices`` does. A search cut at ``NODE_BUDGET``
+nodes returns its best selection with a certified gap.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from operator import or_
 
 import numpy as np
 
-from .kinetics import UserKinetics
 from .scenario import Scenario
 from .uniform import (_EXACT_UNIT, NO_OFFLOAD_PRICE, PriceOutcome,
                       _exact_units, evaluate_prices)
@@ -58,13 +59,11 @@ def _validate_instance(inst: KnapsackInstance) -> None:
         raise ValueError(f"capacity must be finite and >= 0 (got {inst.capacity})")
 
 
-def build_knapsack(scenario: Scenario,
-                   kin_all: tuple[UserKinetics, ...]) -> KnapsackInstance:
-    """One item per user; ``kin_all`` is the scenario's ``kinetics``."""
-    weights = tuple(k.balance_bits * u.cycles_per_bit
-                    for k, u in zip(kin_all, scenario.users))
-    values = tuple(w / u.local_cpu_cps for w, u in zip(weights, scenario.users))
-    return KnapsackInstance(weights=weights, values=values,
+def build_knapsack(scenario: Scenario, kin_all: object = None) -> KnapsackInstance:
+    """One item per user, from ``Scenario.columns``; ``kin_all`` is unread."""
+    c = scenario.columns
+    return KnapsackInstance(weights=tuple(c.load_cycles.tolist()),
+                            values=tuple((c.threshold * c.load_cycles).tolist()),
                             capacity=scenario.system.cloud_capacity_cycles)
 
 
@@ -137,8 +136,8 @@ def solve_knapsack_branch_and_bound(inst: KnapsackInstance) -> KnapsackSolution:
             if w[d] <= room:
                 stack.append((d + 1, room - w[d], value + v[d], taken | 1 << d))
 
-    chosen = {order[p] for p in range(n) if best[1] >> p & 1}
-    solution = _solution(inst, tuple(i in chosen for i in range(n)))
+    bit = dict(zip(order, reversed(f"{best[1]:0{n}b}")))   # bit p: order[p]
+    solution = _solution(inst, tuple(bit[i] == "1" for i in range(n)))
     if not stack:
         return solution
     whole, k, left = lp_bound(0, cap, 0)
@@ -148,7 +147,14 @@ def solve_knapsack_branch_and_bound(inst: KnapsackInstance) -> KnapsackSolution:
 
 def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     """Exact optimum by subset enumeration; ties pick the lexicographically
-    smallest selection vector. Capped at 20 items."""
+    smallest selection vector. Capped at 20 items.
+
+    A subset's float weight sum, added in index order, is within n/2
+    ulp(total) of the exact one, so outside a band of (n + 2) ulp around the
+    capacity the float test agrees with the correctly rounded sum. Of the
+    best subsets below the band's top, those inside it are settled by
+    ``math.fsum``; if none fits, the next best are tried.
+    """
     _validate_instance(inst)
     n = len(inst.weights)
     if n > BRUTE_FORCE_MAX_ITEMS:
@@ -159,11 +165,21 @@ def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     for w, v in zip(inst.weights, inst.values):
         wsum = np.concatenate([wsum, wsum + w])
         vsum = np.concatenate([vsum, vsum + v])
-    scored = np.where(wsum <= inst.capacity, vsum, -1.0)
-    top = float(scored.max())
-    tied = np.flatnonzero(scored == top)
+    band = (n + 2) * math.ulp(max(float(wsum[-1]), inst.capacity))
+    scored = np.where(wsum <= inst.capacity + band, vsum, -1.0)
+    while True:
+        # nothing nested may read wsum: as a closure cell it slows the
+        # doubling loop above by about a third
+        tied = np.flatnonzero(scored == scored.max()).tolist()
+        fitting = [mask for mask, clear
+                   in zip(tied, wsum[tied] < inst.capacity - band)
+                   if clear or math.fsum(w for i, w in enumerate(inst.weights)
+                                         if mask >> i & 1) <= inst.capacity]
+        if fitting:
+            break
+        scored[tied] = -1.0
     selected = min(
-        tuple(bool((int(mask) >> i) & 1) for i in range(n)) for mask in tied)
+        tuple(bool((mask >> i) & 1) for i in range(n)) for mask in fitting)
     return _solution(inst, selected)
 
 
@@ -173,8 +189,8 @@ def solve_differentiated(scenario: Scenario) -> PriceOutcome:
     The winners come from subset enumeration up to 20 users and from the
     branch and bound beyond.
     """
-    inst = build_knapsack(scenario, scenario.kinetics)
-    if len(scenario.users) <= BRUTE_FORCE_MAX_ITEMS:
+    inst = build_knapsack(scenario)
+    if len(inst.weights) <= BRUTE_FORCE_MAX_ITEMS:
         solution = solve_knapsack_bruteforce(inst)
     else:
         solution = solve_knapsack_branch_and_bound(inst)

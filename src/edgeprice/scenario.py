@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -71,17 +72,19 @@ class Scenario:
 
     system: SystemParams
     users: tuple[UserProfile, ...]
-    kinetics: tuple[UserKinetics, ...] = field(init=False, compare=False,
-                                               repr=False)
     columns: UserColumns = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         problems = validate_scenario(self)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
-        object.__setattr__(self, "kinetics", scenario_kinetics(self))
         object.__setattr__(self, "columns",
-                           user_columns(self.users, self.kinetics))
+                           user_columns(self.users, scenario_kinetics(self)))
+
+    @cached_property
+    def kinetics(self) -> tuple[UserKinetics, ...]:
+        """Derived again on first read, for the oracles, and kept."""
+        return scenario_kinetics(self)
 
 
 @dataclass(frozen=True)

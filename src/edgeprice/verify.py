@@ -186,7 +186,7 @@ def check_knapsack_oracle(seed: int = 0, instances: int = 500,
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         scenario = _sample(rng, max_users=max_items)
-        inst = build_knapsack(scenario, scenario.kinetics)
+        inst = build_knapsack(scenario)
         bb = solve_knapsack_branch_and_bound(inst)
         bf = solve_knapsack_bruteforce(inst)
         if (bb.selected, bb.total_value, bb.value_bound) != (

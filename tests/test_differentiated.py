@@ -7,6 +7,7 @@ from edgeprice import (KnapsackInstance, NO_OFFLOAD_PRICE, ScenarioConfig,
                        build_knapsack, sample_scenario, solve_differentiated,
                        solve_knapsack_branch_and_bound, solve_knapsack_bruteforce,
                        solve_uniform)
+from edgeprice.uniform import evaluate_prices
 from edgeprice.verify import random_scenario_config
 
 from conftest import balanced_two_user_scenario
@@ -17,14 +18,17 @@ TWO_ITEMS = KnapsackInstance(weights=(4e8, 3e8), values=(0.4, 0.6),
 
 
 def test_build_knapsack_hand_values(two_user_scenario):
-    inst = build_knapsack(two_user_scenario, two_user_scenario.kinetics)
+    inst = build_knapsack(two_user_scenario)
     assert inst.weights[0] == pytest.approx(4e8, rel=1e-9)
     assert inst.weights[1] == pytest.approx(3e8, rel=1e-9)
     assert inst.values[0] == pytest.approx(0.4, rel=1e-9)
     assert inst.values[1] == pytest.approx(0.6, rel=1e-9)
     assert inst.capacity == two_user_scenario.system.cloud_capacity_cycles
-    for v, w, u in zip(inst.values, inst.weights, two_user_scenario.users):
-        assert v / w == pytest.approx(1.0 / u.local_cpu_cps, rel=1e-12)
+    # each value is the payment the user makes at its own threshold
+    served = evaluate_prices(two_user_scenario,
+                             two_user_scenario.columns.threshold.tolist())
+    assert inst.values == tuple(d.payment_s for d in served.decisions)
+    assert inst.weights == tuple(two_user_scenario.columns.load_cycles.tolist())
 
 
 def test_bb_two_items_both_fit():
@@ -110,7 +114,7 @@ def test_bb_matches_enumeration():
     rng = np.random.default_rng(41)
     for _ in range(200):
         s = sample_scenario(random_scenario_config(rng, max_users=14))
-        inst = build_knapsack(s, s.kinetics)
+        inst = build_knapsack(s)
         bb = solve_knapsack_branch_and_bound(inst)
         bf = solve_knapsack_bruteforce(inst)
         assert bb.selected == bf.selected
@@ -125,7 +129,7 @@ def test_bb_exact_on_grid_weights():
     rng = np.random.default_rng(42)
     for _ in range(200):
         s = sample_scenario(random_scenario_config(rng, max_users=14))
-        inst = build_knapsack(s, s.kinetics)
+        inst = build_knapsack(s)
         grid = float(10.0 ** rng.integers(5, 8))
         inst = replace(inst, weights=tuple(grid * np.ceil(np.divide(inst.weights, grid))))
         bb = solve_knapsack_branch_and_bound(inst)
@@ -148,6 +152,37 @@ def test_bb_feasibility_is_the_rounded_sum():
     assert solve_knapsack_branch_and_bound(tiny).selected == (True, True)
 
 
+def test_bruteforce_feasibility_is_the_rounded_sum():
+    # numpy adds the subset sums one weight at a time: 1.0 + 2**-53 rounds
+    # to 1.0 twice, but the three weights' exact sum rounds to 1 + 2**-52,
+    # which overflows a capacity of 1.0
+    cases = [KnapsackInstance(weights=(1.0, 2.0**-53, 2.0**-53),
+                              values=(1.0, 1.0, 1.0), capacity=1.0)]
+    # the 0.1 + 0.2 round-half-even tie against 0.3 and against its own sum
+    # (unequal values, so one selection is optimal)
+    pair = KnapsackInstance(weights=(0.1, 0.2), values=(1.0, 1.5),
+                            capacity=0.3)
+    cases += [pair, replace(pair, capacity=0.1 + 0.2)]
+    for inst in cases:
+        bf = solve_knapsack_bruteforce(inst)
+        assert bf.selected == solve_knapsack_branch_and_bound(inst).selected
+        assert bf.total_weight <= inst.capacity
+    assert solve_knapsack_bruteforce(cases[0]).selected == (False, True, True)
+
+
+def test_bb_decodes_a_large_selection():
+    # 10**4 items of one weight, valued in a shuffled order: the 3,000 most
+    # valuable are the optimum, scattered over the indices
+    n, room = 10_000, 3_000
+    rank = np.random.default_rng(46).permutation(n)
+    inst = KnapsackInstance(weights=(1.0,) * n,
+                            values=tuple(1.0 + rank.astype(float)),
+                            capacity=float(room))
+    sol = solve_knapsack_branch_and_bound(inst)
+    assert sol.selected == tuple((rank >= n - room).tolist())
+    assert sol.value_bound == 0.0
+
+
 def _dantzig_bound(inst: KnapsackInstance) -> float:
     """Fractional-knapsack optimum: fill by falling density, split the first
     item that does not fit."""
@@ -166,7 +201,7 @@ def test_bb_budget_cut_certifies_its_gap():
     # search proves optimality, and the answer is certified, not refused
     s = sample_scenario(ScenarioConfig(num_users=300, seed=1,
                                        capacity_cycles=300 * 2e8))
-    inst = build_knapsack(s, s.kinetics)
+    inst = build_knapsack(s)
     sol = solve_knapsack_branch_and_bound(inst)
     assert sol.value_bound > 0.0
     assert sol.total_weight <= inst.capacity
@@ -237,7 +272,7 @@ def test_revenue_dominates_uniform_branch_and_bound_path():
         uniform = solve_uniform(s).revenue_s
         per_user = solve_differentiated(s).revenue_s  # above 20 users
         assert per_user >= uniform - 1e-12 * (1.0 + uniform)
-        inst = build_knapsack(s, s.kinetics)
+        inst = build_knapsack(s)
         assert solve_knapsack_branch_and_bound(inst).value_bound == 0.0
 
 

@@ -6,8 +6,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from edgeprice import (BITS_PER_KB, Scenario, ScenarioConfig, dbm_to_watts,
-                       sample_scenario, validate_scenario)
+from edgeprice import (BITS_PER_KB, SCHEMES, Scenario, ScenarioConfig,
+                       dbm_to_watts, run_bargaining, run_trial, sample_scenario,
+                       scenario_kinetics, validate_scenario)
 from edgeprice.scenario import (config_from_mapping, config_violations,
                                 load_scenario_config)
 
@@ -72,6 +73,19 @@ def test_noise_power_per_subband_positive():
 def test_validate_default_scenario_clean():
     s = sample_scenario(ScenarioConfig(num_users=10, seed=5))
     assert validate_scenario(s) == []
+
+
+@pytest.mark.parametrize("num_users", [12, 25])  # both knapsack paths
+def test_pricing_never_builds_the_scalar_kinetics(num_users):
+    s = sample_scenario(ScenarioConfig(num_users=num_users, seed=4))
+    for scheme in SCHEMES:
+        run_trial(s, scheme)
+    run_bargaining(s)
+    assert "kinetics" not in vars(s)
+    # the oracles' copy: built on first read, equal to a fresh pass, kept
+    kin_all = s.kinetics
+    assert kin_all == scenario_kinetics(s) and s.kinetics is kin_all
+    assert s == Scenario(s.system, s.users) and "kinetics" not in repr(s)
 
 
 def test_validate_flags_zero_output_ratio():

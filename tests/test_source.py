@@ -35,3 +35,32 @@ def test_scalar_best_response_stays_off_the_solvers():
              == "best_response"
              and path.name not in ("follower.py", "verify.py")]
     assert found == []
+
+
+PRICING_PATH = ("uniform.py", "differentiated.py", "protocol.py", "bench.py",
+                "cli.py")
+
+
+def test_pricing_path_reads_only_the_columns():
+    # the solvers, the replay and the front ends read per-user data from
+    # Scenario.columns; the scalar users and kinetics serve the oracles, so
+    # the pricing path may only count the users
+    nodes = [(path, node) for path, node in _nodes()
+             if str(path) in PRICING_PATH]
+    counted = {id(node.args[0]) for _, node in nodes
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "len"
+               and len(node.args) == 1}
+    found = [f"{path}:{node.lineno} .{node.attr}" for path, node in nodes
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "kinetics"
+                  or node.attr == "users" and id(node) not in counted)]
+    assert found == []
+
+
+def test_differentiated_imports_nothing_from_kinetics():
+    found = [f"{path}:{node.lineno}" for path, node in _nodes()
+             if path.name == "differentiated.py"
+             and isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "kinetics"]
+    assert found == []
