@@ -75,7 +75,7 @@ def run_trial(scenario: Scenario, scheme: str, sweep_param: str = "none",
             outcome = solve_differentiated(scenario)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        latency = (math.fsum(d.latency_s for d in outcome.decisions)
+        latency = (math.fsum(outcome.decisions.latency_s.tolist())
                    / len(outcome.decisions))
         revenue = outcome.revenue_s
     return TrialResult(scheme=scheme, sweep_param=sweep_param,

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from .bench import load_sweep_spec, run_sweep, run_trial, write_csv, SCHEMES
 from .differentiated import solve_differentiated
-from .protocol import format_trace, run_bargaining, write_trace
+from .protocol import _trace_lines, run_bargaining, write_trace
 from .scenario import ScenarioConfig, load_scenario_config, sample_scenario
 from .uniform import solve_uniform
 from .verify import run_verify
@@ -71,7 +71,7 @@ def _cmd_trace(args) -> int:
         messages = sum(1 + len(r.reports) for r in trace.rounds) + 1
         print(f"wrote {messages} messages to {args.out}")
     else:
-        sys.stdout.write(format_trace(trace))
+        sys.stdout.writelines(_trace_lines(trace))
     return 0
 
 

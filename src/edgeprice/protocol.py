@@ -7,9 +7,11 @@ The cloud tallies the reported load against its capacity and either moves to
 the next lower candidate or terminates. The full exchange is recorded as an
 auditable trace whose final outcome is ``uniform.best_settled`` over the
 rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
-the outcome its price induces, ties offloading, as ``price_walk`` yields it;
-only its broadcast and reports are messages. The reports are read off the
-outcome's offload-size column, so the replay builds no decision records.
+the outcome its price induces, ties offloading, as ``price_walk`` yields it.
+Its broadcast is a ``Message``; its reports are ``Reports``, the outcome's own
+offload-size column, whose ``Message``s are built only when they are read.
+So the replay builds one message per round, and the trace and the audit
+read the reports from the column.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -27,12 +29,16 @@ comparisons; ``write_trace`` streams those lines to the file.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterator
 
+import numpy as np
+
 from .scenario import Scenario
-from .uniform import PriceOutcome, best_settled, price_walk
+from .uniform import LazyTuple, PriceOutcome, best_settled, price_walk
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -48,10 +54,30 @@ class Message:
     payload: object   # float price | (user_index, offloaded_bits) | None
 
 
+class Reports(LazyTuple):
+    """One round's ``OffloadReport`` messages, kept as the offload-size
+    column they are read from: user i sends (i, bits[i]) as ``user_i`` in
+    round ``round_index``. The messages are built on the first read."""
+
+    def __init__(self, round_index: int, bits: np.ndarray) -> None:
+        self.round_index = round_index
+        self.bits = np.asarray(bits, dtype=float)   # no copy of a float column
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def _build(self) -> tuple[Message, ...]:
+        bits = self.bits.tolist()
+        return tuple(map(Message, repeat(OFFLOAD_REPORT),
+                         repeat(self.round_index),
+                         map("user_{}".format, range(len(bits))),
+                         enumerate(bits)))
+
+
 @dataclass(frozen=True)
 class BargainRound:
     broadcast: Message
-    reports: tuple[Message, ...]
+    reports: Sequence[Message]   # Reports, or a tuple for a hand-built round
     outcome: PriceOutcome   # induced by the broadcast price, ties offloading
 
 
@@ -60,12 +86,16 @@ class BargainTrace:
     rounds: tuple[BargainRound, ...]
     final: PriceOutcome
 
+    @cached_property
+    def terminate(self) -> Message:
+        return Message(kind=TERMINATE, round=len(self.rounds), sender=CLOUD,
+                       payload=None)
+
     def messages(self) -> Iterator[Message]:
         for rnd in self.rounds:
             yield rnd.broadcast
             yield from rnd.reports
-        yield Message(kind=TERMINATE, round=len(self.rounds), sender=CLOUD,
-                      payload=None)
+        yield self.terminate
 
 
 def run_bargaining(scenario: Scenario) -> BargainTrace:
@@ -81,19 +111,124 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
     """
     rounds: list[BargainRound] = []
     settled: list[PriceOutcome | None] = []
-    users = range(len(scenario.users))
-    senders = [f"user_{i}" for i in users]
     for round_index, (induced, outcome) in enumerate(price_walk(scenario)):
         broadcast = Message(kind=PRICE_BROADCAST, round=round_index,
                             sender=CLOUD, payload=induced.prices[0])
-        reports = tuple(map(Message, repeat(OFFLOAD_REPORT),
-                            repeat(round_index), senders,
-                            zip(users, induced.decisions.offloaded_bits)))
-        rounds.append(BargainRound(broadcast=broadcast, reports=reports,
-                                   outcome=induced))
+        rounds.append(BargainRound(
+            broadcast=broadcast,
+            reports=Reports(round_index, induced.decisions.offloaded_bits),
+            outcome=induced))
         settled.append(outcome)
     return BargainTrace(rounds=tuple(rounds),
                         final=best_settled(scenario, settled))
+
+
+class _Audit:
+    """``information_audit``'s walk: the state of the open round and the
+    problems found, fed one message at a time or one ``Reports`` column."""
+
+    def __init__(self, trace: BargainTrace) -> None:
+        self.rounds = len(trace.rounds)
+        self.per_round = len(trace.rounds[0].reports) if trace.rounds else 0
+        self.senders = [f"user_{i}" for i in range(self.per_round)]
+        self.found: list[str] = []
+        self.pos = 0              # position of the next message in messages()
+        self.broadcasts = 0       # broadcasts seen so far
+        self.current_round: int | None = None
+        self.reports, self.seen = 0, set()   # the open round's count, indices
+
+    def flag(self, pos: int, kind: str, round_: int, problem: str) -> None:
+        self.found.append(f"message {pos} ({kind}, round {round_}): {problem}")
+
+    def message(self, msg: Message) -> None:
+        pos = self.pos
+        self.pos += 1
+
+        def flag(problem: str) -> None:
+            self.flag(pos, msg.kind, msg.round, problem)
+
+        users = self.per_round
+        if msg.kind == OFFLOAD_REPORT:
+            self.reports += 1
+            payload = msg.payload
+            if (not isinstance(payload, tuple) or len(payload) != 2
+                    or not isinstance(payload[0], int)
+                    or isinstance(payload[0], bool)
+                    or not isinstance(payload[1], float)):
+                flag(f"report payload must be (user index, offloaded bits), "
+                     f"got {payload!r}")
+                return
+            user, bits = payload
+            if user < 0:
+                flag(f"negative user index {user}")
+            if msg.sender != (self.senders[user] if 0 <= user < users
+                              else f"user_{user}"):
+                flag(f"sender {msg.sender!r} does not match reported index {user}")
+            if not 0.0 <= bits < math.inf:
+                flag(f"offload report must be finite and nonnegative, got {bits!r}")
+            if msg.round != self.current_round:
+                flag(f"report references round {msg.round}, current broadcast "
+                     f"is {self.current_round}")
+            if user >= users:
+                flag(f"user index {user} outside the first round's {users} users")
+            elif user in self.seen:
+                flag(f"second report from user {user} in this round")
+            self.seen.add(user)
+            return
+        if msg.kind in (PRICE_BROADCAST, TERMINATE):   # ends the open round
+            if self.current_round is not None and self.reports != users:
+                flag(f"round {self.current_round} held {self.reports} reports, "
+                     f"the first round {users}")
+            self.current_round, self.reports, self.seen = None, 0, set()
+        if msg.kind == PRICE_BROADCAST:
+            if msg.sender != CLOUD:
+                flag(f"broadcast from non-cloud sender {msg.sender!r}")
+            if not (isinstance(msg.payload, float)
+                    and 0.0 <= msg.payload < math.inf):
+                flag(f"broadcast payload must be a single finite nonnegative "
+                     f"price, got {msg.payload!r}")
+            if msg.round != self.broadcasts:
+                flag(f"broadcast numbered round {msg.round} is broadcast "
+                     f"{self.broadcasts} of the bargain")
+            self.broadcasts += 1
+            self.current_round = msg.round
+        elif msg.kind == TERMINATE:
+            if msg.payload is not None:
+                flag(f"terminate must carry no payload, got {msg.payload!r}")
+            if msg.round != self.rounds:
+                flag(f"terminate numbered round {msg.round} ends a bargain of "
+                     f"{self.rounds} rounds")
+        else:
+            flag(f"unknown message kind {msg.kind!r}")
+
+    def column(self, reports: Reports) -> None:
+        """What ``message`` finds in each of the column's reports, in bulk.
+        Their payloads are (index, float) and each sender is its index's, so
+        only the bits, the round and the index can be at fault."""
+        r, bits, n = reports.round_index, reports.bits, len(reports)
+        users = self.per_round
+        base = self.pos
+        self.pos += n
+        self.reports += n
+        bad = set(np.flatnonzero(~((bits >= 0.0) & (bits < math.inf))).tolist())
+        again = {i for i in self.seen if 0 <= i < min(n, users)}
+        self.seen.update(range(n))
+        stale = r != self.current_round
+        for i in (range(n) if stale else sorted(bad | again | set(range(users, n)))):
+            if i in bad:
+                self.flag(base + i, OFFLOAD_REPORT, r,
+                          f"offload report must be finite and nonnegative, "
+                          f"got {bits[i].item()!r}")
+            if stale:
+                self.flag(base + i, OFFLOAD_REPORT, r,
+                          f"report references round {r}, current broadcast "
+                          f"is {self.current_round}")
+            if i >= users:
+                self.flag(base + i, OFFLOAD_REPORT, r,
+                          f"user index {i} outside the first round's {users} users")
+            elif i in again:
+                self.flag(base + i, OFFLOAD_REPORT, r,
+                          f"second report from user {i} in this round")
 
 
 def information_audit(trace: BargainTrace) -> list[str]:
@@ -103,90 +238,84 @@ def information_audit(trace: BargainTrace) -> list[str]:
     exactly (user index >= 0, finite nonnegative offloaded bits);
     terminations nothing. Reports must reference the price round they answer.
     Every user reports in every round, so each round must hold as many
-    reports as the first, with indices below that count, each once.
+    reports as the first, with indices below that count, each once. Rounds
+    run in sequence: the i-th broadcast is numbered round i, and the
+    terminate is numbered with the count of rounds.
+
+    Each message is labelled with its position in ``trace.messages()``. A
+    ``Reports`` round is checked from its column, a hand-built one message
+    by message; both flag the same problems in the same words.
     """
-    found: list[tuple[int, Message, str]] = []   # labelled only when found
-
-    def flag(problem: str) -> None:
-        found.append((pos, msg, problem))
-
-    users = len(trace.rounds[0].reports) if trace.rounds else 0
-    senders = [f"user_{i}" for i in range(users)]   # built once, not per round
-    current_round: int | None = None
-    reports, seen = 0, set()   # the current round's report count and indices
-    for pos, msg in enumerate(trace.messages()):
-        if msg.kind == OFFLOAD_REPORT:
-            reports += 1
-            payload = msg.payload
-            if (not isinstance(payload, tuple) or len(payload) != 2
-                    or not isinstance(payload[0], int)
-                    or isinstance(payload[0], bool)
-                    or not isinstance(payload[1], float)):
-                flag(f"report payload must be (user index, offloaded bits), "
-                     f"got {payload!r}")
-                continue
-            user, bits = payload
-            if user < 0:
-                flag(f"negative user index {user}")
-            if msg.sender != (senders[user] if 0 <= user < users
-                              else f"user_{user}"):
-                flag(f"sender {msg.sender!r} does not match reported index {user}")
-            if not 0.0 <= bits < math.inf:
-                flag(f"offload report must be finite and nonnegative, got {bits!r}")
-            if msg.round != current_round:
-                flag(f"report references round {msg.round}, current broadcast "
-                     f"is {current_round}")
-            if user >= users:
-                flag(f"user index {user} outside the first round's {users} users")
-            elif user in seen:
-                flag(f"second report from user {user} in this round")
-            seen.add(user)
-            continue
-        if msg.kind in (PRICE_BROADCAST, TERMINATE):   # ends the open round
-            if current_round is not None and reports != users:
-                flag(f"round {current_round} held {reports} reports, the first "
-                     f"round {users}")
-            current_round, reports, seen = None, 0, set()
-        if msg.kind == PRICE_BROADCAST:
-            if msg.sender != CLOUD:
-                flag(f"broadcast from non-cloud sender {msg.sender!r}")
-            if not (isinstance(msg.payload, float)
-                    and 0.0 <= msg.payload < math.inf):
-                flag(f"broadcast payload must be a single finite nonnegative "
-                     f"price, got {msg.payload!r}")
-            current_round = msg.round
-        elif msg.kind == TERMINATE:
-            if msg.payload is not None:
-                flag(f"terminate must carry no payload, got {msg.payload!r}")
+    audit = _Audit(trace)
+    for rnd in trace.rounds:
+        audit.message(rnd.broadcast)
+        if isinstance(rnd.reports, Reports):
+            audit.column(rnd.reports)
         else:
-            flag(f"unknown message kind {msg.kind!r}")
-    return [f"message {pos} ({msg.kind}, round {msg.round}): {problem}"
-            for pos, msg, problem in found]
+            for msg in rnd.reports:
+                audit.message(msg)
+    audit.message(trace.terminate)
+    return audit.found
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _bits_text(bits: float, text: dict[float, str]) -> str:
+    """``bits`` as a report line prints it, each distinct nonzero float
+    formatted once into ``text``. 0.0 and -0.0 are one key but print apart,
+    so zeros skip the memo."""
+    if not bits:
+        return "-0" if math.copysign(1.0, bits) < 0.0 else "0"
+    shown = text.get(bits)
+    if shown is None:
+        shown = text[bits] = _fmt(bits)
+    return shown
+
+
+def _message_line(msg: Message, text: dict[float, str]) -> str:
+    p = msg.payload
+    head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
+    if (msg.kind == OFFLOAD_REPORT and type(p) is tuple and len(p) == 2
+            and type(p[0]) is int and type(p[1]) is float):
+        return f"{head}user={p[0]} bits={_bits_text(p[1], text)}\n"
+    if msg.kind == PRICE_BROADCAST and type(p) is float:
+        return f"{head}price={_fmt(p)}\n"
+    # no payload is "-"; any other is shown whole, for inspection
+    return head + ("-\n" if p is None else f"payload={p!r}\n")
+
+
 def _trace_lines(trace: BargainTrace) -> Iterator[str]:
-    """One line per message: round, kind, sender, payload fields. A user's
-    bits repeat across rounds, so each distinct float is formatted once."""
+    """The trace text, one line per message: round, kind, sender, payload
+    fields. A hand-built round comes message by message. A ``Reports``
+    round comes as one piece, all its report lines, written from its
+    column: user i's line after the round number is rebuilt only when its
+    bits differ from the previous round's, bit for bit, so zeros keep their
+    sign."""
     text: dict[float, str] = {}
-    for msg in trace.messages():
-        p = msg.payload
-        head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
-        if (msg.kind == OFFLOAD_REPORT and type(p) is tuple and len(p) == 2
-                and type(p[0]) is int and type(p[1]) is float):
-            bits = p[1]
-            # 0.0 and -0.0 are one key but print apart: zeros skip the memo
-            shown = text.get(bits) if bits else _fmt(bits)
-            if shown is None:
-                shown = text[bits] = _fmt(bits)
-            yield f"{head}user={p[0]} bits={shown}\n"
-        elif msg.kind == PRICE_BROADCAST and type(p) is float:
-            yield f"{head}price={_fmt(p)}\n"
-        else:   # no payload is "-"; any other is shown whole, for inspection
-            yield head + ("-\n" if p is None else f"payload={p!r}\n")
+    tails: list[str] = []   # user i's report line after its round number
+    shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
+    for rnd in trace.rounds:
+        yield _message_line(rnd.broadcast, text)
+        reports = rnd.reports
+        if not isinstance(reports, Reports):
+            for msg in reports:
+                yield _message_line(msg, text)
+            continue
+        pattern = reports.bits.view(np.int64)
+        n, m = len(pattern), min(len(pattern), len(shown))
+        changed = [*np.flatnonzero(pattern[:m] != shown[:m]).tolist(),
+                   *range(m, n)]
+        tails.extend(repeat("", n - len(tails)))
+        shown = pattern
+        for i, bits in zip(changed, reports.bits[changed].tolist()):
+            tails[i] = (f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} "
+                        f"bits={_bits_text(bits, text)}\n")
+        if n:
+            r = f"{reports.round_index}"
+            yield r + r.join(tails[:n])
+    yield _message_line(trace.terminate, text)
 
 
 def format_trace(trace: BargainTrace) -> str:

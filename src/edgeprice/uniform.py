@@ -66,22 +66,55 @@ def _exact_units(x: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-class Decisions(Sequence):
+class LazyTuple(Sequence):
+    """A sequence kept as the columns it is read from. A subclass gives
+    ``__len__`` and ``_build``, which makes the tuple of items; that tuple is
+    built on the first read of an item and kept. It compares, hashes,
+    prints, indexes and slices as that tuple, and equals a plain tuple of the
+    same items."""
+
+    def _build(self) -> tuple:
+        raise NotImplementedError
+
+    @cached_property
+    def _items(self) -> tuple:
+        return self._build()
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        other = other._items if isinstance(other, LazyTuple) else other
+        return self._items == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
+class Decisions(LazyTuple):
     """Every user's ``OffloadDecision``, kept as the columns they are read
-    from; the tuple of records is built on the first read and kept. It
-    compares, hashes, prints, indexes and slices as that tuple, and equals a
-    plain tuple of the same records."""
+    from, the records built on the first read."""
 
     def __init__(self, *columns: np.ndarray) -> None:
         self._columns = columns   # bits, offload, cost, latency, payment
 
     @property
-    def offloaded_bits(self) -> list[float]:
-        """Each user's offload size, without building the records."""
-        return self._columns[0].tolist()
+    def offloaded_bits(self) -> np.ndarray:
+        """Each user's offload size: the column the records read, not a copy."""
+        return self._columns[0]
 
-    @cached_property
-    def _records(self) -> tuple[OffloadDecision, ...]:
+    @property
+    def latency_s(self) -> np.ndarray:
+        """Each user's task latency: the column the records read, not a copy."""
+        return self._columns[3]
+
+    def _build(self) -> tuple[OffloadDecision, ...]:
         bits, offload, cost, latency, payment = self._columns
         return tuple(map(OffloadDecision, range(len(bits)), bits.tolist(),
                          offload.view(np.uint8).tolist(), cost.tolist(),
@@ -89,22 +122,6 @@ class Decisions(Sequence):
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def __getitem__(self, index):
-        return self._records[index]
-
-    def __iter__(self) -> Iterator[OffloadDecision]:
-        return iter(self._records)
-
-    def __eq__(self, other: object) -> bool:
-        other = other._records if isinstance(other, Decisions) else other
-        return self._records == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._records)
-
-    def __repr__(self) -> str:
-        return repr(self._records)
 
 
 @dataclass(frozen=True)

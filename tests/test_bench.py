@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from edgeprice import (ScenarioConfig, SweepSpec, TrialResult, compute_kinetics,
-                       local_only_latency, read_csv, run_sweep, run_trial,
+from edgeprice import (OffloadDecision, ScenarioConfig, SweepSpec, TrialResult,
+                       compute_kinetics, local_only_latency, read_csv, run_sweep, run_trial,
                        sample_scenario, solve_differentiated, solve_uniform,
                        validate_scenario, write_csv)
 from edgeprice.bench import (CSV_HEADER, SCHEMES, format_csv, load_sweep_spec,
@@ -78,6 +78,27 @@ def test_trial_validates_once_and_derives_kinetics_once(num_users):
     finally:
         sys.setprofile(None)
     assert calls == {"validate": 1, "kinetics": num_users}
+
+
+def test_trial_builds_no_decision_records():
+    # the mean latency is summed from the latency column; the records are
+    # built only for a reader of the outcome's decisions
+    scenario = sample_scenario(ScenarioConfig(num_users=30, seed=4))
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is OffloadDecision.__init__.__code__:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        results = [run_trial(scenario, scheme) for scheme in SCHEMES]
+    finally:
+        sys.setprofile(None)
+    assert built == 0
+    assert results[0].avg_latency_s == fsum_mean(
+        [d.latency_s for d in solve_uniform(scenario).decisions])
 
 
 def test_sweep_result_count():

@@ -1,8 +1,10 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
                        ScenarioConfig, best_response,
@@ -10,7 +12,7 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
                        run_bargaining, sample_scenario, solve_uniform,
                        write_trace)
 from edgeprice.protocol import (BargainTrace, CLOUD, OFFLOAD_REPORT,
-                                PRICE_BROADCAST, TERMINATE)
+                                PRICE_BROADCAST, TERMINATE, Reports)
 from edgeprice.verify import random_scenario_config
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
@@ -222,12 +224,10 @@ def test_audit_flags_terminate_payload(two_user_scenario):
     real = run_bargaining(two_user_scenario)
 
     class ChattyTrace(BargainTrace):
-        def messages(self):
-            for msg in BargainTrace.messages(self):
-                if msg.kind == TERMINATE:
-                    msg = Message(kind=TERMINATE, round=msg.round, sender=CLOUD,
-                                  payload=42.0)
-                yield msg
+        @property
+        def terminate(self):
+            return Message(kind=TERMINATE, round=len(self.rounds), sender=CLOUD,
+                           payload=42.0)
 
     chatty = ChattyTrace(rounds=real.rounds, final=real.final)
     assert any("no payload" in p for p in information_audit(chatty))
@@ -360,3 +360,152 @@ def test_replay_builds_no_decision_records():
     assert problems == [] and len(trace.rounds) > 1
     assert replayed == 0
     assert built == len(scenario.users)
+
+
+def _golden_trace() -> BargainTrace:
+    return run_bargaining(sample_scenario(ScenarioConfig(num_users=3, seed=7)))
+
+
+@pytest.mark.parametrize("label", [0, 7])
+def test_audit_flags_a_broadcast_out_of_sequence(label):
+    # round 1's broadcast and reports relabelled as one round: the reports
+    # agree with their broadcast, but the broadcast is the bargain's second
+    trace = _golden_trace()
+    rnd = trace.rounds[1]
+    relabelled = type(rnd)(broadcast=replace(rnd.broadcast, round=label),
+                           reports=Reports(label, rnd.reports.bits),
+                           outcome=rnd.outcome)
+    forged = BargainTrace(rounds=(trace.rounds[0], relabelled, trace.rounds[2]),
+                          final=trace.final)
+    assert format_trace(forged).splitlines()[4].startswith(f"{label}\t")
+    assert information_audit(forged) == [
+        f"message 4 (PriceBroadcast, round {label}): broadcast numbered round "
+        f"{label} is broadcast 1 of the bargain"]
+
+
+def test_audit_flags_a_terminate_out_of_sequence():
+    # the last round dropped, and the bargain's own terminate kept
+    real = _golden_trace()
+
+    class Truncated(BargainTrace):
+        terminate = real.terminate
+
+    cut = Truncated(rounds=real.rounds[:2], final=real.final)
+    assert information_audit(cut) == [
+        "message 8 (Terminate, round 3): terminate numbered round 3 ends a "
+        "bargain of 2 rounds"]
+
+
+def test_reports_read_as_their_tuple():
+    trace = _golden_trace()
+    rnd = trace.rounds[1]
+    assert rnd.reports.bits is rnd.outcome.decisions.offloaded_bits
+    fresh = Reports(rnd.reports.round_index, rnd.reports.bits)   # unread
+    messages = tuple(rnd.reports)
+    assert [m.payload for m in messages] == \
+        [(i, b) for i, b in enumerate(rnd.outcome.decisions.offloaded_bits.tolist())]
+    assert all(type(m.payload[0]) is int and type(m.payload[1]) is float
+               for m in messages)
+    assert len(fresh) == 3
+    assert fresh == messages and messages == fresh and fresh == rnd.reports
+    assert fresh != Reports(0, rnd.reports.bits) and fresh != messages[:2]
+    assert hash(fresh) == hash(messages)
+    assert repr(fresh) == repr(messages)
+    assert fresh[1] == messages[1] and fresh[-1] == messages[-1]
+    assert fresh[1:] == messages[1:] and type(fresh[1:]) is tuple
+    assert list(fresh) == list(messages)
+    assert messages[2] in fresh and fresh.index(messages[2]) == 2
+    # a slice is a tuple, so a round is still forged by concatenation
+    bad = Message(kind=OFFLOAD_REPORT, round=1, sender="user_0",
+                  payload=(0, -1.0))
+    forged = _with_round(trace, 1, (bad,) + rnd.reports[1:])
+    assert information_audit(forged) == [
+        "message 5 (OffloadReport, round 1): offload report must be finite "
+        "and nonnegative, got -1.0"]
+
+
+def test_replay_builds_one_message_per_round():
+    # the reports stay a column through the replay, its trace and its audit;
+    # the messages are built only for a reader of one round's reports
+    scenario = sample_scenario(ScenarioConfig(num_users=500, seed=11,
+                                              capacity_cycles=500 * 2e8))
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is Message.__init__.__code__:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = run_bargaining(scenario)
+        format_trace(trace)
+        problems = information_audit(trace)
+        replayed = built
+        trace.rounds[-1].reports[0]
+    finally:
+        sys.setprofile(None)
+    assert problems == [] and len(trace.rounds) > 1
+    assert replayed <= len(trace.rounds) + 1
+    assert built == replayed + len(scenario.users)
+
+
+def _as_tuples(trace: BargainTrace) -> BargainTrace:
+    """The trace with every round's reports a plain tuple of messages, so
+    the trace and the audit take their per-message path."""
+    return BargainTrace(rounds=tuple(replace(r, reports=tuple(r.reports))
+                                     for r in trace.rounds),
+                        final=trace.final)
+
+
+@st.composite
+def replayed_traces(draw) -> BargainTrace:
+    """Replays of 1-30 users, a third of them on a fine CPU grid (steps of
+    1e5-1e7 cycles/s, many rounds), at capacities from a twentieth to
+    1.5 times 2e8 cycles per user."""
+    num_users = draw(st.integers(1, 30))
+    step = draw(st.sampled_from((1e8, 1e8, 1e8, 1e8, 1e8, 1e8, 1e5, 1e6, 1e7)))
+    share = draw(st.floats(0.05, 1.5))
+    return run_bargaining(sample_scenario(ScenarioConfig(
+        num_users=num_users, seed=draw(st.integers(0, 2**63 - 1)),
+        capacity_cycles=share * num_users * 2e8, local_cpu_step_cps=step)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(replayed_traces())
+def test_column_path_writes_and_audits_as_messages(trace):
+    reference = _as_tuples(trace)
+    assert format_trace(trace) == format_trace(reference)
+    assert information_audit(trace) == information_audit(reference) == []
+
+
+FORGED_BITS = st.sampled_from((math.nan, -math.nan, math.inf, -math.inf,
+                               -1.0, -3e-9, -0.0, 0.0, 5e-324, -5e-324,
+                               2.0**-1050, 1.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(replayed_traces(), st.data())
+def test_forged_columns_write_and_audit_as_messages(trace, data):
+    # forged values at random positions, columns a report short or long,
+    # stale round labels and a broadcast of unknown kind, which leaves the
+    # previous round open, so its users' reports read as second reports
+    rounds = []
+    for rnd in trace.rounds:
+        bits = rnd.reports.bits.copy()
+        for pos, value in data.draw(st.lists(
+                st.tuples(st.integers(0, len(bits) - 1), FORGED_BITS),
+                max_size=4)):
+            bits[pos] = value
+        size = data.draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+        bits = (bits[:size] if size < 0
+                else np.append(bits, data.draw(FORGED_BITS)) if size else bits)
+        label = data.draw(st.sampled_from(
+            (rnd.broadcast.round,) * 4 + (rnd.broadcast.round + 1, 0)))
+        kind = data.draw(st.sampled_from((PRICE_BROADCAST,) * 5 + ("Gossip",)))
+        rounds.append(replace(rnd, broadcast=replace(rnd.broadcast, kind=kind),
+                              reports=Reports(label, bits)))
+    forged = BargainTrace(rounds=tuple(rounds), final=trace.final)
+    reference = _as_tuples(forged)
+    assert format_trace(forged) == format_trace(reference)
+    assert information_audit(forged) == information_audit(reference)

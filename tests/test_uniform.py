@@ -449,7 +449,8 @@ def test_column_decisions_read_as_scalar_tuple(case, data):
     assert not decisions != scalar
     assert hash(decisions) == hash(scalar)
     assert repr(decisions) == repr(scalar)
-    assert decisions.offloaded_bits == [d.offloaded_bits for d in scalar]
+    assert decisions.offloaded_bits.tolist() == [d.offloaded_bits for d in scalar]
+    assert decisions.latency_s.tolist() == [d.latency_s for d in scalar]
     assert len(decisions) == len(scalar) and tuple(decisions) == scalar
     ks = len(scalar)
     i = data.draw(st.integers(-ks, ks - 1))
