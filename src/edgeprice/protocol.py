@@ -10,8 +10,9 @@ rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
 the outcome its price induces, ties offloading, as ``price_walk`` yields it.
 Its broadcast is a ``Message``; its reports are ``Reports``, the outcome's own
 offload-size column, whose ``Message``s are built only when they are read.
-So the replay builds one message per round, and the trace and the audit
-read the reports from the column.
+So the replay builds one message per round. The trace writes a column's
+report lines from the column; the audit counts a clean column in bulk and
+checks every other report message by message.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -54,6 +55,12 @@ class Message:
     payload: object   # float price | (user_index, offloaded_bits) | None
 
 
+def _is_report_payload(p: object) -> bool:
+    """A report's payload as the replay sends it: exactly (int, float)."""
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is int
+            and type(p[1]) is float)
+
+
 class Reports(LazyTuple):
     """One round's ``OffloadReport`` messages, kept as the offload-size
     column they are read from: user i sends (i, bits[i]) as ``user_i`` in
@@ -62,6 +69,7 @@ class Reports(LazyTuple):
     def __init__(self, round_index: int, bits: np.ndarray) -> None:
         self.round_index = round_index
         self.bits = np.asarray(bits, dtype=float)   # no copy of a float column
+        self._columns = (round_index, self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -125,12 +133,11 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
 
 class _Audit:
     """``information_audit``'s walk: the state of the open round and the
-    problems found, fed one message at a time or one ``Reports`` column."""
+    problems found, fed one message or one round's reports at a time."""
 
     def __init__(self, trace: BargainTrace) -> None:
         self.rounds = len(trace.rounds)
         self.per_round = len(trace.rounds[0].reports) if trace.rounds else 0
-        self.senders = [f"user_{i}" for i in range(self.per_round)]
         self.found: list[str] = []
         self.pos = 0              # position of the next message in messages()
         self.broadcasts = 0       # broadcasts seen so far
@@ -139,6 +146,22 @@ class _Audit:
 
     def flag(self, pos: int, kind: str, round_: int, problem: str) -> None:
         self.found.append(f"message {pos} ({kind}, round {round_}): {problem}")
+
+    def round_reports(self, reports: Sequence[Message]) -> None:
+        """Count a ``Reports`` column in bulk when no report rule can flag
+        it: the open round's first reports, no more than the first round's,
+        all finite and nonnegative; its payloads and senders are the
+        replay's own. Other reports go through ``message`` one by one."""
+        if (isinstance(reports, Reports) and not self.seen
+                and reports.round_index == self.current_round
+                and len(reports) <= self.per_round
+                and ((reports.bits >= 0.0) & (reports.bits < math.inf)).all()):
+            self.pos += len(reports)
+            self.reports += len(reports)
+            self.seen.update(range(len(reports)))
+        else:
+            for msg in reports:
+                self.message(msg)
 
     def message(self, msg: Message) -> None:
         pos = self.pos
@@ -151,18 +174,14 @@ class _Audit:
         if msg.kind == OFFLOAD_REPORT:
             self.reports += 1
             payload = msg.payload
-            if (not isinstance(payload, tuple) or len(payload) != 2
-                    or not isinstance(payload[0], int)
-                    or isinstance(payload[0], bool)
-                    or not isinstance(payload[1], float)):
+            if not _is_report_payload(payload):
                 flag(f"report payload must be (user index, offloaded bits), "
                      f"got {payload!r}")
                 return
             user, bits = payload
             if user < 0:
                 flag(f"negative user index {user}")
-            if msg.sender != (self.senders[user] if 0 <= user < users
-                              else f"user_{user}"):
+            if msg.sender != f"user_{user}":
                 flag(f"sender {msg.sender!r} does not match reported index {user}")
             if not 0.0 <= bits < math.inf:
                 flag(f"offload report must be finite and nonnegative, got {bits!r}")
@@ -183,7 +202,7 @@ class _Audit:
         if msg.kind == PRICE_BROADCAST:
             if msg.sender != CLOUD:
                 flag(f"broadcast from non-cloud sender {msg.sender!r}")
-            if not (isinstance(msg.payload, float)
+            if not (type(msg.payload) is float
                     and 0.0 <= msg.payload < math.inf):
                 flag(f"broadcast payload must be a single finite nonnegative "
                      f"price, got {msg.payload!r}")
@@ -201,59 +220,27 @@ class _Audit:
         else:
             flag(f"unknown message kind {msg.kind!r}")
 
-    def column(self, reports: Reports) -> None:
-        """What ``message`` finds in each of the column's reports, in bulk.
-        Their payloads are (index, float) and each sender is its index's, so
-        only the bits, the round and the index can be at fault."""
-        r, bits, n = reports.round_index, reports.bits, len(reports)
-        users = self.per_round
-        base = self.pos
-        self.pos += n
-        self.reports += n
-        bad = set(np.flatnonzero(~((bits >= 0.0) & (bits < math.inf))).tolist())
-        again = {i for i in self.seen if 0 <= i < min(n, users)}
-        self.seen.update(range(n))
-        stale = r != self.current_round
-        for i in (range(n) if stale else sorted(bad | again | set(range(users, n)))):
-            if i in bad:
-                self.flag(base + i, OFFLOAD_REPORT, r,
-                          f"offload report must be finite and nonnegative, "
-                          f"got {bits[i].item()!r}")
-            if stale:
-                self.flag(base + i, OFFLOAD_REPORT, r,
-                          f"report references round {r}, current broadcast "
-                          f"is {self.current_round}")
-            if i >= users:
-                self.flag(base + i, OFFLOAD_REPORT, r,
-                          f"user index {i} outside the first round's {users} users")
-            elif i in again:
-                self.flag(base + i, OFFLOAD_REPORT, r,
-                          f"second report from user {i} in this round")
-
 
 def information_audit(trace: BargainTrace) -> list[str]:
     """Flag any message whose payload leaks more than the protocol allows.
 
-    Broadcasts may carry exactly one finite nonnegative price; reports
-    exactly (user index >= 0, finite nonnegative offloaded bits);
-    terminations nothing. Reports must reference the price round they answer.
-    Every user reports in every round, so each round must hold as many
-    reports as the first, with indices below that count, each once. Rounds
-    run in sequence: the i-th broadcast is numbered round i, and the
-    terminate is numbered with the count of rounds.
+    Broadcasts may carry exactly one finite nonnegative price, a float;
+    reports exactly (user index >= 0, finite nonnegative offloaded bits),
+    an (int, float) pair; terminations nothing. Reports must reference the
+    price round they answer. Every user reports in every round, so each
+    round must hold as many reports as the first, with indices below that
+    count, each once. Rounds run in sequence: the i-th broadcast is
+    numbered round i, and the terminate is numbered with the count of
+    rounds.
 
     Each message is labelled with its position in ``trace.messages()``. A
-    ``Reports`` round is checked from its column, a hand-built one message
-    by message; both flag the same problems in the same words.
+    ``Reports`` column that no rule can flag is counted in bulk; every other
+    report is checked message by message, so each rule is stated once.
     """
     audit = _Audit(trace)
     for rnd in trace.rounds:
         audit.message(rnd.broadcast)
-        if isinstance(rnd.reports, Reports):
-            audit.column(rnd.reports)
-        else:
-            for msg in rnd.reports:
-                audit.message(msg)
+        audit.round_reports(rnd.reports)
     audit.message(trace.terminate)
     return audit.found
 
@@ -277,8 +264,7 @@ def _bits_text(bits: float, text: dict[float, str]) -> str:
 def _message_line(msg: Message, text: dict[float, str]) -> str:
     p = msg.payload
     head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
-    if (msg.kind == OFFLOAD_REPORT and type(p) is tuple and len(p) == 2
-            and type(p[0]) is int and type(p[1]) is float):
+    if msg.kind == OFFLOAD_REPORT and _is_report_payload(p):
         return f"{head}user={p[0]} bits={_bits_text(p[1], text)}\n"
     if msg.kind == PRICE_BROADCAST and type(p) is float:
         return f"{head}price={_fmt(p)}\n"

@@ -68,10 +68,15 @@ def _exact_units(x: float) -> int:
 
 class LazyTuple(Sequence):
     """A sequence kept as the columns it is read from. A subclass gives
-    ``__len__`` and ``_build``, which makes the tuple of items; that tuple is
+    ``__len__``, ``_columns`` (the scalars and arrays its items are read
+    from) and ``_build``, which makes the tuple of items; that tuple is
     built on the first read of an item and kept. It compares, hashes,
     prints, indexes and slices as that tuple, and equals a plain tuple of the
-    same items."""
+    same items. Two of one class compare their columns instead, element by
+    element as their tuples would (NaN unequal, -0.0 equal to 0.0), and
+    neither builds its items."""
+
+    _columns: tuple
 
     def _build(self) -> tuple:
         raise NotImplementedError
@@ -87,6 +92,10 @@ class LazyTuple(Sequence):
         return iter(self._items)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):   # an empty tuple equals any other
+            return self is other or len(self) == len(other) and (
+                not len(self)
+                or all(map(np.array_equal, self._columns, other._columns)))
         other = other._items if isinstance(other, LazyTuple) else other
         return self._items == other if isinstance(other, tuple) else NotImplemented
 

@@ -13,6 +13,7 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
                        write_trace)
 from edgeprice.protocol import (BargainTrace, CLOUD, OFFLOAD_REPORT,
                                 PRICE_BROADCAST, TERMINATE, Reports)
+from edgeprice.uniform import Decisions
 from edgeprice.verify import random_scenario_config
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
@@ -509,3 +510,119 @@ def test_forged_columns_write_and_audit_as_messages(trace, data):
     reference = _as_tuples(forged)
     assert format_trace(forged) == format_trace(reference)
     assert information_audit(forged) == information_audit(reference)
+
+
+def test_audit_flags_a_report_the_writer_shows_whole():
+    # a numpy float is not the replay's float: the writer shows the payload
+    # whole, so the audit must flag it too
+    trace = _golden_trace()
+    payload = (0, np.float64(1.0))
+    forged = _forged(trace, 0, payload)
+    assert format_trace(forged).splitlines()[1] == \
+        f"0\tOffloadReport\tuser_0\tpayload={payload!r}"
+    assert information_audit(forged) == [
+        f"message 1 (OffloadReport, round 0): report payload must be (user "
+        f"index, offloaded bits), got {payload!r}"]
+
+
+def test_audit_flags_a_broadcast_the_writer_shows_whole():
+    trace = _golden_trace()
+    price = np.float64(1e-08)
+    forged = _forged_broadcast(trace, price)
+    assert format_trace(forged).splitlines()[0] == \
+        f"0\tPriceBroadcast\tcloud\tpayload={price!r}"
+    assert information_audit(forged) == [
+        f"message 0 (PriceBroadcast, round 0): broadcast payload must be a "
+        f"single finite nonnegative price, got {price!r}"]
+
+
+def test_replay_equality_builds_no_records():
+    # two replays compare round by round as columns: neither side builds
+    # its decision records or its report messages
+    scenario = sample_scenario(ScenarioConfig(num_users=500, seed=11,
+                                              capacity_cycles=500 * 2e8))
+    a, b = run_bargaining(scenario), run_bargaining(scenario)
+    built = {OffloadDecision.__init__.__code__: 0, Message.__init__.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            built[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        equal = a == b
+        moved = a.rounds[1].reports == b.rounds[0].reports
+    finally:
+        sys.setprofile(None)
+    assert len(a.rounds) > 1 and equal and not moved
+    assert list(built.values()) == [0, 0]
+
+
+def _decisions(bits, payment) -> Decisions:
+    n = len(bits)
+    return Decisions(np.array(bits), np.ones(n, dtype=bool), np.zeros(n),
+                     np.ones(n), np.array(payment))
+
+
+_NAN_REPORTS = Reports(0, [1.0, math.nan])
+_NAN_DECISIONS = _decisions([1.0, 2.0], [math.nan, 0.0])
+
+
+@pytest.mark.parametrize("a, b", [
+    (Reports(0, [1.0, math.nan]), Reports(0, [1.0, math.nan])),
+    (Reports(0, _NAN_REPORTS.bits), _NAN_REPORTS),
+    (_NAN_REPORTS, _NAN_REPORTS),
+    (Reports(2, [-0.0, 3.0]), Reports(2, [0.0, 3.0])),
+    (Reports(2, [1.0]), Reports(3, [1.0])),
+    (Reports(2, []), Reports(3, [])),
+    (Reports(2, [1.0, 2.0]), Reports(2, [1.0])),
+    (_decisions([1.0, 2.0], [math.nan, 0.0]), _NAN_DECISIONS),
+    (_NAN_DECISIONS, _NAN_DECISIONS),
+    (_decisions([-0.0, 2.0], [0.0, -0.0]), _decisions([0.0, 2.0], [-0.0, 0.0])),
+    (_decisions([1.0, 2.0], [0.5, 0.5]), _decisions([1.0, 2.5], [0.5, 0.5])),
+])
+def test_column_equality_is_the_tuples(a, b):
+    # NaN is unequal, -0.0 equals 0.0, and x == x as tuple identity makes it
+    expected = tuple(a) == tuple(b)
+    assert (a == b) is expected and (b == a) is expected
+    assert (a != b) is not expected
+
+
+FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 2.0**-1050, 2.2250738585072009e-308,
+                     0.1 + 0.2, 1.0 / 3.0, 1750880.8287817608,
+                     1.7976931348623157e308)),
+    st.floats(), st.floats(-1e-307, 1e-307))
+
+
+def _bit_pattern(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(FLOATS, st.lists(FLOATS, max_size=5)),
+                min_size=1, max_size=4))
+def test_trace_floats_parse_back_to_their_bits(columns):
+    # forged columns and prices, with values repeating across rounds so the
+    # writer reuses lines; every price= and bits= field reads back through
+    # float() to the bit pattern it was written from. "%.17g" writes any
+    # NaN as "nan", dropping its sign and payload, so a NaN only has to
+    # read back as a NaN.
+    golden = _golden_trace()
+    rounds, sent = [], []
+    for r, (price, bits) in enumerate(columns):
+        broadcast = Message(kind=PRICE_BROADCAST, round=r, sender=CLOUD,
+                            payload=price)
+        rounds.append(replace(golden.rounds[0], broadcast=broadcast,
+                              reports=Reports(r, bits)))
+        sent += [price, *bits]
+    trace = BargainTrace(rounds=tuple(rounds), final=golden.final)
+    read = [float(line.split("\t")[3].split("=")[-1])
+            for line in format_trace(trace).splitlines()[:-1]]
+    assert len(read) == len(sent)
+    for x, y in zip(sent, read):
+        if math.isnan(x):
+            assert math.isnan(y)
+        else:
+            assert _bit_pattern(y) == _bit_pattern(x)

@@ -1,6 +1,7 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import edgeprice
@@ -64,3 +65,18 @@ def test_differentiated_imports_nothing_from_kinetics():
              and isinstance(node, ast.ImportFrom)
              and (node.module or "").split(".")[-1] == "kinetics"]
     assert found == []
+
+
+def test_each_audit_problem_is_written_once():
+    # each rule the audit checks is stated in one place, so each problem it
+    # can flag has one wording: the leading literal of an f-string passed to
+    # a call named flag
+    heads = [arg.values[0].value for _, node in _nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "flag"
+             for arg in node.args
+             if isinstance(arg, ast.JoinedStr)
+             and isinstance(arg.values[0], ast.Constant)]
+    assert len(heads) > 10
+    assert [head for head, n in Counter(heads).items() if n > 1] == []
