@@ -2,9 +2,10 @@
 
 Each trial samples a fresh scenario and scores three schemes: the uniform
 shared price, per-user prices, and an all-local baseline that never
-offloads. Scored quantities are the revenue and the mean over users of the
-equilibrium task latency. Sweeps vary either the cloud cycle capacity or the
-number of users and write a flat CSV.
+offloads (every user priced at ``NO_OFFLOAD_PRICE``). Scored quantities are
+the revenue and the mean over users of the equilibrium task latency. Sweeps
+vary either the cloud cycle capacity or the number of users and write a
+flat CSV.
 
 Seeding: a trial at sweep point i with trial index j uses
 base_seed + i * 10**6 + j, except capacity sweeps, which drop the point term
@@ -23,12 +24,13 @@ from dataclasses import dataclass, fields, replace
 from .differentiated import solve_differentiated
 from .scenario import (Scenario, ScenarioConfig, config_from_mapping,
                        parse_number, read_key_values, sample_scenario)
-from .uniform import solve_uniform
+from .uniform import NO_OFFLOAD_PRICE, evaluate_price, solve_uniform
 
-SCHEME_UNIFORM = "uniform"
-SCHEME_DIFFERENTIATED = "differentiated"
-SCHEME_LOCAL_ONLY = "local_only"
-SCHEMES = (SCHEME_UNIFORM, SCHEME_DIFFERENTIATED, SCHEME_LOCAL_ONLY)
+# Each scheme's outcome; keeping every user local is pricing all of them out.
+SOLVERS = {"uniform": solve_uniform,
+           "differentiated": solve_differentiated,
+           "local_only": lambda s: evaluate_price(s, NO_OFFLOAD_PRICE)}
+SCHEMES = tuple(SOLVERS)
 
 SWEEP_CAPACITY = "capacity_cycles"
 SWEEP_NUM_USERS = "num_users"
@@ -60,27 +62,19 @@ class SweepSpec:
 
 def local_only_latency(scenario: Scenario) -> float:
     """Mean over users of the all-local time data_bits * cycles_per_bit / cpu."""
-    return math.fsum(scenario.columns.local_s.tolist()) / len(scenario.users)
+    return run_trial(scenario, "local_only").avg_latency_s
 
 
 def run_trial(scenario: Scenario, scheme: str, sweep_param: str = "none",
               sweep_value: float = 0.0, seed: int = 0) -> TrialResult:
-    if scheme == SCHEME_LOCAL_ONLY:
-        latency = local_only_latency(scenario)
-        revenue = 0.0
-    else:
-        if scheme == SCHEME_UNIFORM:
-            outcome = solve_uniform(scenario)
-        elif scheme == SCHEME_DIFFERENTIATED:
-            outcome = solve_differentiated(scenario)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        latency = (math.fsum(outcome.decisions.latency_s.tolist())
-                   / len(outcome.decisions))
-        revenue = outcome.revenue_s
+    if scheme not in SOLVERS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    outcome = SOLVERS[scheme](scenario)
+    latency = (math.fsum(outcome.decisions.latency_s.tolist())
+               / len(outcome.decisions))
     return TrialResult(scheme=scheme, sweep_param=sweep_param,
                        sweep_value=sweep_value, seed=seed,
-                       avg_latency_s=latency, revenue_s=revenue)
+                       avg_latency_s=latency, revenue_s=outcome.revenue_s)
 
 
 def _validate_spec(spec: SweepSpec) -> None:

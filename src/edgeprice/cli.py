@@ -6,11 +6,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .bench import load_sweep_spec, run_sweep, run_trial, write_csv, SCHEMES
-from .differentiated import solve_differentiated
+from .bench import (SCHEMES, SOLVERS, load_sweep_spec, run_sweep, run_trial,
+                    write_csv)
 from .protocol import _trace_lines, run_bargaining, write_trace
 from .scenario import ScenarioConfig, load_scenario_config, sample_scenario
-from .uniform import solve_uniform
 from .verify import run_verify
 
 
@@ -36,11 +35,9 @@ def _cmd_run(args) -> int:
         print(f"avg_latency_s={_fmt(result.avg_latency_s)}")
         print(f"revenue_s={_fmt(result.revenue_s)}")
         return 0
+    outcome = SOLVERS[args.scheme](scenario)
     if args.scheme == "uniform":
-        outcome = solve_uniform(scenario)
         print(f"price_s_per_cycle={_fmt(outcome.prices[0])}")
-    else:
-        outcome = solve_differentiated(scenario)
     print(f"feasible={outcome.feasible}")
     print(f"total_load_cycles={_fmt(outcome.total_load_cycles)}")
     print(f"revenue_s={_fmt(outcome.revenue_s)}")

@@ -249,23 +249,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _bits_text(bits: float, text: dict[float, str]) -> str:
-    """``bits`` as a report line prints it, each distinct nonzero float
-    formatted once into ``text``. 0.0 and -0.0 are one key but print apart,
-    so zeros skip the memo."""
-    if not bits:
-        return "-0" if math.copysign(1.0, bits) < 0.0 else "0"
-    shown = text.get(bits)
-    if shown is None:
-        shown = text[bits] = _fmt(bits)
-    return shown
-
-
-def _message_line(msg: Message, text: dict[float, str]) -> str:
+def _message_line(msg: Message) -> str:
     p = msg.payload
     head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
     if msg.kind == OFFLOAD_REPORT and _is_report_payload(p):
-        return f"{head}user={p[0]} bits={_bits_text(p[1], text)}\n"
+        return f"{head}user={p[0]} bits={_fmt(p[1])}\n"
     if msg.kind == PRICE_BROADCAST and type(p) is float:
         return f"{head}price={_fmt(p)}\n"
     # no payload is "-"; any other is shown whole, for inspection
@@ -276,18 +264,17 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     """The trace text, one line per message: round, kind, sender, payload
     fields. A hand-built round comes message by message. A ``Reports``
     round comes as one piece, all its report lines, written from its
-    column: user i's line after the round number is rebuilt only when its
-    bits differ from the previous round's, bit for bit, so zeros keep their
-    sign."""
-    text: dict[float, str] = {}
+    column through one memo, per user: user i's line after the round number
+    is rebuilt only when its bits differ from the previous round's, bit for
+    bit (so zeros keep their sign), and each rebuilt line formats once."""
     tails: list[str] = []   # user i's report line after its round number
     shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
     for rnd in trace.rounds:
-        yield _message_line(rnd.broadcast, text)
+        yield _message_line(rnd.broadcast)
         reports = rnd.reports
         if not isinstance(reports, Reports):
             for msg in reports:
-                yield _message_line(msg, text)
+                yield _message_line(msg)
             continue
         pattern = reports.bits.view(np.int64)
         n, m = len(pattern), min(len(pattern), len(shown))
@@ -297,11 +284,11 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
         shown = pattern
         for i, bits in zip(changed, reports.bits[changed].tolist()):
             tails[i] = (f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} "
-                        f"bits={_bits_text(bits, text)}\n")
+                        f"bits={_fmt(bits)}\n")
         if n:
             r = f"{reports.round_index}"
             yield r + r.join(tails[:n])
-    yield _message_line(trace.terminate, text)
+    yield _message_line(trace.terminate)
 
 
 def format_trace(trace: BargainTrace) -> str:

@@ -182,7 +182,15 @@ def evaluate_prices(scenario: Scenario, prices: Sequence[float]) -> PriceOutcome
     Ties offload. If the induced load exceeds the capacity the outcome is
     marked infeasible and its revenue reported as zero.
     """
-    return _priced_outcome(scenario, prices, np.asarray(prices, dtype=float))
+    n = len(scenario.users)
+    wanted = f"prices must hold one price for each of the {n} users"
+    try:
+        paid_at = np.asarray(prices, dtype=float)
+    except ValueError as exc:   # a ragged nesting, or an entry that is no number
+        raise ValueError(f"{wanted}: {exc}") from None
+    if paid_at.shape != (n,):
+        raise ValueError(f"{wanted}, got {paid_at.size} in shape {paid_at.shape}")
+    return _priced_outcome(scenario, prices, paid_at)
 
 
 def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:

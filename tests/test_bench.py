@@ -1,16 +1,19 @@
+import math
 import re
+import struct
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeprice import (OffloadDecision, ScenarioConfig, SweepSpec, TrialResult,
                        compute_kinetics, local_only_latency, read_csv, run_sweep, run_trial,
                        sample_scenario, solve_differentiated, solve_uniform,
                        validate_scenario, write_csv)
-from edgeprice.bench import (CSV_HEADER, SCHEMES, format_csv, load_sweep_spec,
-                             trial_seed)
+from edgeprice.bench import (CSV_HEADER, SCHEMES, SWEEP_PARAMS, format_csv,
+                             load_sweep_spec, trial_seed)
 from edgeprice.verify import random_scenario_config
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
@@ -156,6 +159,41 @@ def test_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == CSV_HEADER
     assert len(text.splitlines()) == len(results) + 1
     assert read_csv(str(path)) == results
+
+
+# -0.0, the smallest and largest subnormals, the smallest normal, both
+# infinities, and values whose shortest repr needs all 17 digits
+csv_floats = st.one_of(
+    st.sampled_from((-0.0, 5e-324, -2.225073858507201e-308,
+                     2.2250738585072014e-308, math.inf, -math.inf,
+                     0.30000000000000004, 1.0000000000000002,
+                     1.7976931348623157e308)),
+    st.floats(allow_nan=True, allow_infinity=True))
+trial_results = st.builds(TrialResult, scheme=st.sampled_from(SCHEMES),
+                          sweep_param=st.sampled_from(SWEEP_PARAMS),
+                          sweep_value=csv_floats,
+                          seed=st.integers(0, 2**64 - 1),
+                          avg_latency_s=csv_floats, revenue_s=csv_floats)
+
+
+def _float_bits(x: float) -> bytes:
+    """The bit pattern of ``x``; every NaN is one NaN."""
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(trial_results, max_size=4))
+def test_csv_round_trip_keeps_every_bit(tmp_path_factory, results):
+    # dataclass equality would let -0.0 read back as 0.0, so compare bits
+    path = str(tmp_path_factory.mktemp("csv") / "trials.csv")
+    write_csv(results, path)
+    back = read_csv(path)
+    assert [(r.scheme, r.sweep_param, r.seed) for r in back] == \
+        [(r.scheme, r.sweep_param, r.seed) for r in results]
+    for got, sent in zip(back, results):
+        for name in ("sweep_value", "avg_latency_s", "revenue_s"):
+            assert _float_bits(getattr(got, name)) == \
+                _float_bits(getattr(sent, name)), name
 
 
 def test_csv_empty_results(tmp_path):

@@ -12,7 +12,7 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
                        run_bargaining, sample_scenario, solve_uniform,
                        write_trace)
 from edgeprice.protocol import (BargainTrace, CLOUD, OFFLOAD_REPORT,
-                                PRICE_BROADCAST, TERMINATE, Reports)
+                                PRICE_BROADCAST, TERMINATE, Reports, _fmt)
 from edgeprice.uniform import Decisions
 from edgeprice.verify import random_scenario_config
 
@@ -449,6 +449,35 @@ def test_replay_builds_one_message_per_round():
     assert problems == [] and len(trace.rounds) > 1
     assert replayed <= len(trace.rounds) + 1
     assert built == replayed + len(scenario.users)
+
+
+@pytest.mark.parametrize("num_users, step", [(500, 1e8), (40, 1e5)])
+def test_trace_formats_each_changed_report_once(num_users, step):
+    # a report's line is rebuilt only when the user's bits change: every
+    # report of the first round, then at most one change per user along the
+    # walk, each formatted once, plus one price per broadcast
+    trace = run_bargaining(sample_scenario(ScenarioConfig(
+        num_users=num_users, seed=11, capacity_cycles=num_users * 2e8,
+        local_cpu_step_cps=step)))
+    formatted = 0
+
+    def profile(frame, event, arg):
+        nonlocal formatted
+        if event == "call" and frame.f_code is _fmt.__code__:
+            formatted += 1
+
+    sys.setprofile(profile)
+    try:
+        format_trace(trace)
+    finally:
+        sys.setprofile(None)
+    patterns = [r.reports.bits.view(np.int64) for r in trace.rounds]
+    changed = len(patterns[0]) + sum(
+        np.count_nonzero(now != before)
+        for before, now in zip(patterns, patterns[1:]))
+    reports = sum(map(len, patterns))
+    assert len(trace.rounds) > 3 and changed < reports / 2
+    assert formatted == len(trace.rounds) + changed
 
 
 def _as_tuples(trace: BargainTrace) -> BargainTrace:

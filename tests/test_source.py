@@ -3,6 +3,7 @@
 import ast
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import edgeprice
 
@@ -80,3 +81,50 @@ def test_each_audit_problem_is_written_once():
              and isinstance(arg.values[0], ast.Constant)]
     assert len(heads) > 10
     assert [head for head, n in Counter(heads).items() if n > 1] == []
+
+
+def _private_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """(name, node) for each module-level function, class or assignment
+    whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_is_read():
+    # a module-level helper that nothing reads is a leftover: it must be
+    # read in its own module outside its definition, in a module that
+    # imports it from there, or as an attribute
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    reads = {stem: Counter(node.id for node in ast.walk(tree)
+                           if isinstance(node, ast.Name)
+                           and isinstance(node.ctx, ast.Load))
+             for stem, tree in trees.items()}
+    attributes = {node.attr for tree in trees.values()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    importers = [(node.module.split(".")[-1], alias.name, stem)
+                 for stem, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 for alias in node.names]
+    checked, found = 0, []
+    for stem, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            checked += 1
+            own = sum(isinstance(n, ast.Name) and n.id == name
+                      and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+            if (reads[stem][name] > own or name in attributes
+                    or any(reads[user][name] for source, imported, user
+                           in importers if (source, imported) == (stem, name))):
+                continue
+            found.append(f"{stem}.py:{node.lineno} {name}")
+    assert checked > 20
+    assert found == []

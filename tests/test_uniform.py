@@ -375,6 +375,19 @@ def test_negative_or_nan_price_rejected():
             evaluate_prices(scenario, (1e-9, bad))
 
 
+def test_prices_of_the_wrong_shape_rejected():
+    # one price per user: numpy would broadcast a single price to everyone,
+    # and fail on other lengths or a nesting without naming the field
+    scenario = sample_scenario(ScenarioConfig(num_users=5, seed=1))
+    for bad, got in (([1e-9], 1), ([1e-9] * 4, 4), ([[1e-9] * 5], 5),
+                     ([[1e-9]] * 5, 5)):
+        with pytest.raises(ValueError, match=rf"^prices .* each of the 5 "
+                                             rf"users, got {got} in shape"):
+            evaluate_prices(scenario, bad)
+    with pytest.raises(ValueError, match=r"^prices .* each of the 5 users: "):
+        evaluate_prices(scenario, [[1e-9], [1e-9, 2e-9], 1e-9, 1e-9, 1e-9])
+
+
 def test_sorted_solve_matches_exhaustive_on_fine_grids():
     # fine CPU grids give ~K candidates; capacities cut the total balance
     # load anywhere from nothing to all of it
