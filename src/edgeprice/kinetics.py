@@ -11,18 +11,20 @@ take equally long are
 
 Prices are quoted in seconds per CPU cycle, so a payment
 price * ell * cycles_per_bit carries seconds and adds directly to latency.
+
+``user_columns`` derives every user's kinetics at once, elementwise from the
+profile columns; ``compute_kinetics`` is their scalar reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # scenario imports this module to derive Scenario.kinetics
+if TYPE_CHECKING:  # scenario imports this module to derive Scenario.columns
     from .scenario import Scenario, SystemParams, UserProfile
 
 
@@ -40,12 +42,16 @@ class UserKinetics:
 def _shannon_rate(sys_: SystemParams, power_w: float, gain: float) -> float:
     """Sub-band rate W * log2(1 + p*h / (W*N0)) with W = bandwidth/num_users.
 
-    log1p keeps the rate strictly positive down to vanishing signal power.
+    log1p keeps the rate strictly positive down to vanishing signal power;
+    arrays map ``math.log1p``, since ``np.log1p`` rounds differently.
     Unchecked: the public rates check their inputs, and a built ``Scenario``
     has already validated its own.
     """
     w = sys_.per_user_bandwidth_hz
     snr = power_w * gain / (w * sys_.noise_psd_w_per_hz)
+    if isinstance(snr, np.ndarray):
+        return (w * np.fromiter(map(math.log1p, snr.tolist()), float, len(snr))
+                / math.log(2.0))
     return w * math.log1p(snr) / math.log(2.0)
 
 
@@ -106,10 +112,10 @@ def scenario_kinetics(scenario: Scenario) -> tuple[UserKinetics, ...]:
 @dataclass(frozen=True, eq=False)
 class UserColumns:
     """Per-user read-only float arrays, in user order, for pricing every user
-    at once. Each entry is computed with the same operations, in the same
-    order, as the scalar formulas below, and elementwise + - * / on float64
-    rounds like Python floats, so results built from them are bit-identical
-    to the scalar ones."""
+    at once, derived from the profile columns. Each entry is computed with
+    the same operations, in the same order, as the scalar formulas of this
+    module, and elementwise + - * / on float64 rounds like Python floats, so
+    results built from them are bit-identical to the scalar ones."""
 
     threshold: np.ndarray          # 1 / local_cpu_cps: offload iff price <= it
     balance_bits: np.ndarray
@@ -118,21 +124,25 @@ class UserColumns:
     offload_latency_s: np.ndarray  # task_latency at balance_bits
 
 
-def user_columns(users: Sequence[UserProfile],
-                 kin_all: Sequence[UserKinetics]) -> UserColumns:
-    data = np.array([u.data_bits for u in users])
-    cycles = np.array([u.cycles_per_bit for u in users])
-    cpu = np.array([u.local_cpu_cps for u in users])
-    balance = np.array([k.balance_bits for k in kin_all])
-    beta = np.array([k.beta_s_per_bit for k in kin_all])
-    columns = UserColumns(
-        threshold=1.0 / cpu,
-        balance_bits=balance,
-        load_cycles=balance * cycles,
-        local_s=data * cycles / cpu,
-        offload_latency_s=np.maximum((data - balance) * cycles / cpu,
-                                     beta * balance),
-    )
+def user_columns(scenario: Scenario) -> UserColumns:
+    """Every user's kinetics, as ``compute_kinetics`` derives them, computed
+    elementwise from the profile columns, and the pricing columns from those.
+    A user ``compute_kinetics`` refuses raises ``scenario_kinetics``' error."""
+    sys_, users = scenario.system, scenario.users
+    data, cycles, cpu = users.data_bits, users.cycles_per_bit, users.local_cpu_cps
+    with np.errstate(all="ignore"):   # a bad rate raises below instead
+        r_up = _shannon_rate(sys_, users.uplink_power_w, users.channel_gain_linear)
+        r_down = _shannon_rate(sys_, users.downlink_power_w, users.channel_gain_linear)
+        beta = (1.0 / r_up + cycles / sys_.per_user_cloud_speed_cps
+                + users.output_ratio / r_down)
+        balance = cycles * data / (beta * cpu + cycles)
+        ok = ((r_up > 0) & (r_up < math.inf) & (r_down > 0)
+              & (r_down < math.inf) & (balance > 0) & (balance < data))
+    if not ok.all():   # the scalar pass words the first user's error
+        scenario_kinetics(scenario)
+        raise RuntimeError("kinetics columns refuse what compute_kinetics takes")
+    columns = UserColumns(1.0 / cpu, balance, balance * cycles, data * cycles / cpu,
+                          np.maximum((data - balance) * cycles / cpu, beta * balance))
     for column in vars(columns).values():
         column.flags.writeable = False
     return columns

@@ -38,8 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .scenario import Scenario
-from .uniform import LazyTuple, PriceOutcome, best_settled, price_walk
+from .scenario import LazyTuple, Scenario
+from .uniform import PriceOutcome, best_settled, price_walk
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -69,10 +69,7 @@ class Reports(LazyTuple):
     def __init__(self, round_index: int, bits: np.ndarray) -> None:
         self.round_index = round_index
         self.bits = np.asarray(bits, dtype=float)   # no copy of a float column
-        self._columns = (round_index, self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
+        self._columns = (self.bits, round_index)
 
     def _build(self) -> tuple[Message, ...]:
         bits = self.bits.tolist()

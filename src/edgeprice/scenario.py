@@ -8,8 +8,10 @@ on the way in.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -63,23 +65,99 @@ class UserProfile:
     channel_gain_linear: float  # dimensionless power gain
 
 
+class LazyTuple(Sequence):
+    """A sequence kept as the columns it is read from: ``_columns``, the
+    arrays and scalars its items are read from, first an array with one
+    entry per item. Built from arrays alone, it names them as ``_fields``
+    lists. A subclass gives ``_build``, which makes the tuple of items; that
+    tuple is built on the first read of an item and kept. It compares,
+    hashes, prints, indexes and slices as that tuple, and equals a plain
+    tuple of the same items. Two of one class compare their columns instead,
+    element by element as their tuples would (NaN unequal, -0.0 equal to
+    0.0), and neither builds its items."""
+
+    _columns: tuple
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        self._columns = columns
+        vars(self).update(zip(self._fields, columns))
+
+    def _build(self) -> tuple:
+        raise NotImplementedError
+
+    @cached_property
+    def _items(self) -> tuple:
+        return self._build()
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):   # an empty tuple equals any other
+            return self is other or len(self) == len(other) and (
+                not len(self)
+                or all(map(np.array_equal, self._columns, other._columns)))
+        other = other._items if isinstance(other, LazyTuple) else other
+        return self._items == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
+class UserProfiles(LazyTuple):
+    """Every user's ``UserProfile``, kept as one float column per field, in
+    user order and named as the field (``users.data_bits``): the scenario's
+    storage, which sampling fills, validation checks with array masks and
+    ``kinetics.user_columns`` derives from. The records are built on the
+    first read."""
+
+    _fields = tuple(f.name for f in fields(UserProfile))
+
+    @classmethod
+    def of(cls, users: Sequence[UserProfile]) -> UserProfiles:
+        """The columns of ``users``, which are kept as the built records. A
+        field that is no real number reads as NaN, which validation flags."""
+        items = tuple(users)
+        view = cls(*(np.array([v if isinstance(v, Real) else math.nan
+                               for v in (getattr(u, name) for u in items)],
+                              dtype=float) for name in cls._fields))
+        vars(view)["_items"] = items
+        return view
+
+    def _build(self) -> tuple[UserProfile, ...]:
+        return tuple(map(UserProfile, *(c.tolist() for c in self._columns)))
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One offloading period. Building it runs ``validate_scenario`` (any
-    violation raises ``ValueError``) and then derives every user's kinetics
-    once, in user order, and from them the per-user columns the solvers
-    price with."""
+    """One offloading period; ``users``, any sequence of profiles, is kept as
+    their columns (``UserProfiles``). Building it runs ``validate_scenario``
+    (any violation raises ``ValueError``) and then derives from those columns,
+    once, the per-user columns the solvers price with."""
 
     system: SystemParams
-    users: tuple[UserProfile, ...]
+    users: UserProfiles   # reads as a tuple of UserProfile
     columns: UserColumns = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.users, UserProfiles):
+            object.__setattr__(self, "users", UserProfiles.of(self.users))
+        for column in self.users._columns:   # the frozen scenario's storage
+            column.setflags(write=False)
         problems = validate_scenario(self)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
-        object.__setattr__(self, "columns",
-                           user_columns(self.users, scenario_kinetics(self)))
+        object.__setattr__(self, "columns", user_columns(self))
 
     @cached_property
     def kinetics(self) -> tuple[UserKinetics, ...]:
@@ -176,8 +254,8 @@ def _finite_positive(to_si, value: float) -> bool:
         return False
 
 
-def _local_cpu_speed(config: ScenarioConfig, index: int) -> float:
-    return config.local_cpu_min_cps + config.local_cpu_step_cps * float(index)
+def _local_cpu_speed(config: ScenarioConfig, index: float | np.ndarray):
+    return config.local_cpu_min_cps + config.local_cpu_step_cps * index
 
 
 def _local_cpu_count(config: ScenarioConfig) -> int:
@@ -186,7 +264,7 @@ def _local_cpu_count(config: ScenarioConfig) -> int:
     count = int(round((config.local_cpu_max_cps - config.local_cpu_min_cps)
                       / config.local_cpu_step_cps)) + 1
     limit = config.local_cpu_max_cps * (1 + 1e-12)
-    while _local_cpu_speed(config, count - 1) > limit:
+    while _local_cpu_speed(config, float(count - 1)) > limit:
         count -= 1
     return count
 
@@ -210,18 +288,6 @@ def sample_scenario(config: ScenarioConfig) -> Scenario:
     cycles = rng.uniform(config.cycles_per_bit_min, config.cycles_per_bit_max, k)
     data_kb = rng.uniform(config.data_kb_min, config.data_kb_max, k)
 
-    users = tuple(
-        UserProfile(
-            data_bits=float(data_kb[i] * BITS_PER_KB),
-            cycles_per_bit=float(cycles[i]),
-            local_cpu_cps=_local_cpu_speed(config, cpu_idx[i]),
-            output_ratio=config.output_ratio,
-            uplink_power_w=config.uplink_power_w,
-            downlink_power_w=config.downlink_power_w,
-            channel_gain_linear=db_to_linear(float(gains_db[i])),
-        )
-        for i in range(k)
-    )
     system = SystemParams(
         bandwidth_hz=config.bandwidth_hz,
         noise_psd_w_per_hz=dbm_to_watts(config.noise_dbm_per_hz),
@@ -229,6 +295,13 @@ def sample_scenario(config: ScenarioConfig) -> Scenario:
         cloud_capacity_cycles=config.capacity_cycles,
         num_users=k,
     )
+    # the columns in UserProfile field order; the gains are mapped through
+    # the scalar db_to_linear, since numpy's power rounds differently
+    constants = (config.output_ratio, config.uplink_power_w, config.downlink_power_w)
+    users = UserProfiles(data_kb * BITS_PER_KB, cycles,
+                         _local_cpu_speed(config, cpu_idx.astype(float)),
+                         *(np.full(k, float(v)) for v in constants),
+                         np.fromiter(map(db_to_linear, gains_db.tolist()), float, k))
     return Scenario(system=system, users=users)
 
 
@@ -254,15 +327,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         out.append(f"system: bandwidth_hz / num_users * noise_psd_w_per_hz "
                    f"must be > 0 (got "
                    f"{sys_.per_user_bandwidth_hz * sys_.noise_psd_w_per_hz})")
-    if len(scenario.users) != sys_.num_users:
-        out.append(f"user-list length {len(scenario.users)} does not match "
+    users = scenario.users
+    if len(users) != sys_.num_users:
+        out.append(f"user-list length {len(users)} does not match "
                    f"num_users {sys_.num_users}")
-    for i, u in enumerate(scenario.users):
-        for name in ("data_bits", "cycles_per_bit", "local_cpu_cps", "output_ratio",
-                     "uplink_power_w", "downlink_power_w", "channel_gain_linear"):
-            v = getattr(u, name)
-            if not (math.isfinite(v) and v > 0):
-                out.append(f"user {i}: {name} must be finite and > 0 (got {v})")
+    rows = np.array(users._columns)   # one row per field
+    ok = (rows > 0) & (rows < math.inf)   # NaN fails both
+    for i, j in np.argwhere(~ok.T).tolist():   # user-major, field order
+        name = users._fields[j]
+        out.append(f"user {i}: {name} must be finite and > 0 "
+                   f"(got {getattr(users[i], name)})")
     return out
 
 

@@ -43,14 +43,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
+from numbers import Real
 from operator import itemgetter
 
 import numpy as np
 
 from .follower import OffloadDecision
-from .scenario import Scenario
+from .scenario import LazyTuple, Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
 NO_OFFLOAD_PRICE = math.inf
@@ -66,71 +66,18 @@ def _exact_units(x: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-class LazyTuple(Sequence):
-    """A sequence kept as the columns it is read from. A subclass gives
-    ``__len__``, ``_columns`` (the scalars and arrays its items are read
-    from) and ``_build``, which makes the tuple of items; that tuple is
-    built on the first read of an item and kept. It compares, hashes,
-    prints, indexes and slices as that tuple, and equals a plain tuple of the
-    same items. Two of one class compare their columns instead, element by
-    element as their tuples would (NaN unequal, -0.0 equal to 0.0), and
-    neither builds its items."""
-
-    _columns: tuple
-
-    def _build(self) -> tuple:
-        raise NotImplementedError
-
-    @cached_property
-    def _items(self) -> tuple:
-        return self._build()
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):   # an empty tuple equals any other
-            return self is other or len(self) == len(other) and (
-                not len(self)
-                or all(map(np.array_equal, self._columns, other._columns)))
-        other = other._items if isinstance(other, LazyTuple) else other
-        return self._items == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        return repr(self._items)
-
-
 class Decisions(LazyTuple):
-    """Every user's ``OffloadDecision``, kept as the columns they are read
-    from, the records built on the first read."""
+    """Every user's ``OffloadDecision``, kept as the columns ``_fields``
+    names (``decisions.latency_s`` is the column the records read, not a
+    copy), the records built on the first read."""
 
-    def __init__(self, *columns: np.ndarray) -> None:
-        self._columns = columns   # bits, offload, cost, latency, payment
-
-    @property
-    def offloaded_bits(self) -> np.ndarray:
-        """Each user's offload size: the column the records read, not a copy."""
-        return self._columns[0]
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """Each user's task latency: the column the records read, not a copy."""
-        return self._columns[3]
+    _fields = ("offloaded_bits", "offload", "cost_s", "latency_s", "payment_s")
 
     def _build(self) -> tuple[OffloadDecision, ...]:
         bits, offload, cost, latency, payment = self._columns
         return tuple(map(OffloadDecision, range(len(bits)), bits.tolist(),
                          offload.view(np.uint8).tolist(), cost.tolist(),
                          latency.tolist(), payment.tolist()))
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
 
 
 @dataclass(frozen=True)
@@ -198,6 +145,8 @@ def evaluate_price(scenario: Scenario, price: float) -> PriceOutcome:
 
     When the outcome overflows, the walk settles on ``ration_tie`` instead.
     """
+    if not isinstance(price, Real):
+        raise ValueError(f"price must be one real number, got {price!r}")
     return _priced_outcome(scenario, (price,) * len(scenario.users), price)
 
 

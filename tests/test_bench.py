@@ -14,6 +14,7 @@ from edgeprice import (OffloadDecision, ScenarioConfig, SweepSpec, TrialResult,
                        validate_scenario, write_csv)
 from edgeprice.bench import (CSV_HEADER, SCHEMES, SWEEP_PARAMS, format_csv,
                              load_sweep_spec, trial_seed)
+from edgeprice.kinetics import user_columns
 from edgeprice.verify import random_scenario_config
 
 from conftest import (balanced_single_user_scenario, balanced_two_user_scenario,
@@ -64,9 +65,11 @@ def _spec(**overrides):
 
 @pytest.mark.parametrize("num_users", [12, 25])  # enumeration and branch-and-bound paths
 def test_trial_validates_once_and_derives_kinetics_once(num_users):
-    # counted by code object, so no import alias can hide a call
+    # counted by code object, so no import alias can hide a call; the
+    # kinetics are derived once, as columns, and the scalar form never runs
     watched = {validate_scenario.__code__: "validate",
-               compute_kinetics.__code__: "kinetics"}
+               user_columns.__code__: "columns",
+               compute_kinetics.__code__: "scalar kinetics"}
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -80,7 +83,7 @@ def test_trial_validates_once_and_derives_kinetics_once(num_users):
             run_trial(scenario, scheme)
     finally:
         sys.setprofile(None)
-    assert calls == {"validate": 1, "kinetics": num_users}
+    assert calls == {"validate": 1, "columns": 1}
 
 
 def test_trial_builds_no_decision_records():

@@ -1,15 +1,17 @@
 """Property tests on both pricing schemes, over random and edge inputs."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from edgeprice import (BRUTE_FORCE_MAX_ITEMS, NO_OFFLOAD_PRICE, Scenario,
-                       ScenarioConfig, build_knapsack, run_bargaining,
-                       sample_scenario, solve_differentiated,
-                       solve_knapsack_branch_and_bound,
-                       solve_knapsack_bruteforce, solve_uniform)
+                       ScenarioConfig, build_knapsack, db_to_linear,
+                       run_bargaining, sample_scenario, scenario_kinetics,
+                       solve_differentiated, solve_knapsack_branch_and_bound,
+                       solve_knapsack_bruteforce, solve_uniform, task_latency)
+from edgeprice.kinetics import UserColumns
 from edgeprice.uniform import candidate_prices, evaluate_price
 from edgeprice.verify import solve_uniform_exhaustive
 
@@ -91,3 +93,52 @@ def test_edge_inputs_agree_with_the_references(s):
     assert per_user.total_load_cycles <= capacity
     if capacity == 0.0:
         assert per_user.revenue_s == uniform.revenue_s == 0.0
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def wide_configs(draw):
+    """1-300 users on CPU steps of 1e5-1e8, gains down to -200 dB, and
+    varied powers and output ratios."""
+    gain_min = draw(st.floats(-200.0, -20.0))
+    return ScenarioConfig(
+        num_users=draw(st.integers(1, 300)), seed=draw(seeds),
+        local_cpu_step_cps=draw(st.sampled_from((1e5, 1e6, 1e7, 1e8))),
+        gain_db_min=gain_min,
+        gain_db_max=gain_min + draw(st.floats(0.0, 40.0)),
+        uplink_power_w=draw(st.floats(1e-3, 1.0)),
+        downlink_power_w=draw(st.floats(1e-2, 10.0)),
+        output_ratio=draw(st.floats(0.01, 2.0)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(wide_configs())
+def test_columns_are_the_scalar_kinetics_bit_for_bit(config):
+    s = sample_scenario(config)
+    users, kin_all = s.users, scenario_kinetics(s)
+    scalar = UserColumns(
+        threshold=[1.0 / u.local_cpu_cps for u in users],
+        balance_bits=[k.balance_bits for k in kin_all],
+        load_cycles=[k.balance_bits * u.cycles_per_bit
+                     for k, u in zip(kin_all, users)],
+        local_s=[u.data_bits * u.cycles_per_bit / u.local_cpu_cps
+                 for u in users],
+        offload_latency_s=[task_latency(k, u, k.balance_bits)
+                           for k, u in zip(kin_all, users)])
+    for f in fields(UserColumns):
+        assert np.array_equal(_bits(getattr(s.columns, f.name)),
+                              _bits(getattr(scalar, f.name))), f.name
+    # the gains are the scalar dB conversion of the first draw
+    gains_db = np.random.default_rng(config.seed).uniform(
+        config.gain_db_min, config.gain_db_max, config.num_users)
+    assert np.array_equal(_bits(users.channel_gain_linear),
+                          _bits([db_to_linear(g) for g in gains_db.tolist()]))
+    # the same profiles given as records build the same scenario
+    again = Scenario(s.system, tuple(users))
+    assert again == s
+    for f in fields(UserColumns):
+        assert np.array_equal(_bits(getattr(again.columns, f.name)),
+                              _bits(getattr(s.columns, f.name))), f.name

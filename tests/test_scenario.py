@@ -1,15 +1,19 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from edgeprice import (BITS_PER_KB, SCHEMES, Scenario, ScenarioConfig,
+from edgeprice import (BITS_PER_KB, SCHEMES, Scenario, ScenarioConfig, UserProfile,
                        dbm_to_watts, run_bargaining, run_trial, sample_scenario,
                        scenario_kinetics, validate_scenario)
-from edgeprice.scenario import (config_from_mapping, config_violations,
+from edgeprice.kinetics import user_columns
+from edgeprice.scenario import (UserProfiles, config_from_mapping, config_violations,
                                 load_scenario_config)
 
 from conftest import make_profile, make_system
@@ -77,10 +81,24 @@ def test_validate_default_scenario_clean():
 
 @pytest.mark.parametrize("num_users", [12, 25])  # both knapsack paths
 def test_pricing_never_builds_the_scalar_kinetics(num_users):
-    s = sample_scenario(ScenarioConfig(num_users=num_users, seed=4))
-    for scheme in SCHEMES:
-        run_trial(s, scheme)
-    run_bargaining(s)
+    # nor a profile record: sampling, every scheme and the replay read the
+    # columns; profiles are counted by code object, as decision records are
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is UserProfile.__init__.__code__:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        s = sample_scenario(ScenarioConfig(num_users=num_users, seed=4))
+        for scheme in SCHEMES:
+            run_trial(s, scheme)
+        run_bargaining(s)
+    finally:
+        sys.setprofile(None)
+    assert built == 0 and "_items" not in vars(s.users)
     assert "kinetics" not in vars(s)
     # the oracles' copy: built on first read, equal to a fresh pass, kept
     kin_all = s.kinetics
@@ -95,6 +113,63 @@ def test_validate_flags_zero_output_ratio():
     with pytest.raises(ValueError,
                        match=r"^invalid scenario: user 0: output_ratio [^;]*$"):
         Scenario(system=system, users=(bad,))
+
+
+def test_profile_records_given_are_kept_and_read_as_columns():
+    system = make_system(2, 6e9)
+    users = (make_profile(), make_profile(local_cpu_cps=5e8))
+    s = Scenario(system, users)
+    assert s.users == users and s.users[1] is users[1]
+    assert s.users.local_cpu_cps.tolist() == [1e9, 5e8]
+    assert not s.users.local_cpu_cps.flags.writeable
+    # a scenario over the same columns equals it without building records
+    fresh = Scenario(system, UserProfiles(*(c.copy() for c in s.users._columns)))
+    assert fresh == s and "_items" not in vars(fresh.users)
+
+
+def test_validation_problems_read_in_user_then_field_order():
+    # the wording and order are those of a check of one field at a time; a
+    # value is shown as it was given
+    users = (make_profile(data_bits=0, channel_gain_linear=-1.0), make_profile(),
+             make_profile(output_ratio=math.nan, uplink_power_w=math.inf))
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid scenario: user 0: data_bits must be finite and > 0 (got 0); "
+            "user 0: channel_gain_linear must be finite and > 0 (got -1.0); "
+            "user 2: output_ratio must be finite and > 0 (got nan); "
+            "user 2: uplink_power_w must be finite and > 0 (got inf)")):
+        Scenario(make_system(3, 6e9), users)
+
+
+@pytest.mark.parametrize("value", ["5", None, b"5"])
+def test_a_field_that_is_no_number_is_flagged(value):
+    # numpy would parse "5" as 5.0
+    with pytest.raises(ValueError, match=rf"^invalid scenario: user 1: "
+                                         rf"cycles_per_bit must be finite"):
+        Scenario(make_system(2, 6e9),
+                 (make_profile(), make_profile(cycles_per_bit=value)))
+
+
+def test_column_kinetics_errors_name_the_first_user_without_warnings():
+    # user 1's uplink signal power underflows, so its rate is 0 and the
+    # offload time per bit infinite; user 2 has a NaN field
+    system = make_system(3, 6e9)
+    users = (make_profile(), make_profile(uplink_power_w=1e-300,
+                                          channel_gain_linear=1e-30),
+             make_profile(cycles_per_bit=math.nan))
+    zero_rate = ("invalid scenario: user 1: uplink rate must be finite and > 0 "
+                 "(got 0.0)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # validation runs first and names the NaN field ...
+        with pytest.raises(ValueError, match=r"^invalid scenario: user 2: "
+                                             r"cycles_per_bit [^;]*\(got nan\)$"):
+            Scenario(system, users)
+        # ... and the columns, derived from unchecked profiles, name user 1
+        with pytest.raises(ValueError, match=f"^{re.escape(zero_rate)}$"):
+            user_columns(SimpleNamespace(system=system,
+                                         users=UserProfiles.of(users)))
+        with pytest.raises(ValueError, match=f"^{re.escape(zero_rate)}$"):
+            Scenario(system, users[:2] + (make_profile(),))
 
 
 def test_validate_flags_user_count_mismatch():

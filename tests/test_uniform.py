@@ -388,6 +388,17 @@ def test_prices_of_the_wrong_shape_rejected():
         evaluate_prices(scenario, [[1e-9], [1e-9, 2e-9], 1e-9, 1e-9, 1e-9])
 
 
+def test_shared_price_must_be_one_real_number():
+    # numpy would broadcast a list to one price per user, and fail on text
+    # without naming the field
+    scenario = sample_scenario(ScenarioConfig(num_users=5, seed=1))
+    for bad in ([1e-9], (1e-9,), np.array([1e-9]), "1e-9", None):
+        with pytest.raises(ValueError, match=r"^price must be one real number"):
+            evaluate_price(scenario, bad)
+    for fine in (1e-9, np.float64(1e-9), 0, NO_OFFLOAD_PRICE):
+        assert evaluate_price(scenario, fine).prices == (fine,) * 5
+
+
 def test_sorted_solve_matches_exhaustive_on_fine_grids():
     # fine CPU grids give ~K candidates; capacities cut the total balance
     # load anywhere from nothing to all of it
