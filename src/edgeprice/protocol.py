@@ -139,7 +139,8 @@ class _Audit:
         self.pos = 0              # position of the next message in messages()
         self.broadcasts = 0       # broadcasts seen so far
         self.current_round: int | None = None
-        self.reports, self.seen = 0, set()   # the open round's count, indices
+        # the open round's count and its indices: range(bulk), and seen
+        self.reports, self.bulk, self.seen = 0, 0, set()
 
     def flag(self, pos: int, kind: str, round_: int, problem: str) -> None:
         self.found.append(f"message {pos} ({kind}, round {round_}): {problem}")
@@ -149,13 +150,13 @@ class _Audit:
         it: the open round's first reports, no more than the first round's,
         all finite and nonnegative; its payloads and senders are the
         replay's own. Other reports go through ``message`` one by one."""
-        if (isinstance(reports, Reports) and not self.seen
+        if (isinstance(reports, Reports) and not self.seen and not self.bulk
                 and reports.round_index == self.current_round
                 and len(reports) <= self.per_round
                 and ((reports.bits >= 0.0) & (reports.bits < math.inf)).all()):
             self.pos += len(reports)
             self.reports += len(reports)
-            self.seen.update(range(len(reports)))
+            self.bulk = len(reports)
         else:
             for msg in reports:
                 self.message(msg)
@@ -187,7 +188,7 @@ class _Audit:
                      f"is {self.current_round}")
             if user >= users:
                 flag(f"user index {user} outside the first round's {users} users")
-            elif user in self.seen:
+            elif 0 <= user < self.bulk or user in self.seen:
                 flag(f"second report from user {user} in this round")
             self.seen.add(user)
             return
@@ -195,7 +196,7 @@ class _Audit:
             if self.current_round is not None and self.reports != users:
                 flag(f"round {self.current_round} held {self.reports} reports, "
                      f"the first round {users}")
-            self.current_round, self.reports, self.seen = None, 0, set()
+            self.current_round, self.reports, self.bulk, self.seen = None, 0, 0, set()
         if msg.kind == PRICE_BROADCAST:
             if msg.sender != CLOUD:
                 flag(f"broadcast from non-cloud sender {msg.sender!r}")

@@ -335,8 +335,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     ok = (rows > 0) & (rows < math.inf)   # NaN fails both
     for i, j in np.argwhere(~ok.T).tolist():   # user-major, field order
         name = users._fields[j]
+        v = getattr(users[i], name)   # a value that is no number shows whole
         out.append(f"user {i}: {name} must be finite and > 0 "
-                   f"(got {getattr(users[i], name)})")
+                   f"(got {v if isinstance(v, Real) else repr(v)})")
     return out
 
 

@@ -16,22 +16,24 @@ price offload their balance, as at the previous candidate, and the tied ones
 are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
 
-``solve_uniform`` returns what the walk settles on without walking it. With
-the thresholds sorted once, each candidate serves a prefix of the users.
-Exact prefix sums of the balance loads find the first overflowing candidate;
-each revenue above it is screened as price times load, within a certified
-relative error band, and only the candidates inside the band (one or two in
-practice) are rescored exactly, plus the rationed one. Its cost is a sort
-and those rescorings, however many CPU tiers there are; the walk evaluates
-every user at each candidate it visits.
+``solve_uniform`` returns what the walk settles on without walking it. Each
+candidate serves the CPU tiers at or above it, so running totals of the
+tiers' exact loads find the first overflowing candidate; each revenue above
+it is screened as price times load, within a certified relative error band,
+and only the candidates inside the band (one or two in practice) are
+rescored exactly, plus the rationed one. The walk evaluates every user at
+each candidate it visits.
 
-One function, ``_priced_outcome``, turns prices into every ``PriceOutcome``:
-it computes each user's best response from ``Scenario.columns`` with the
-operations of ``follower.best_response`` (so bit-identical to it) and totals
-load and revenue from the same arrays. ``evaluate_prices`` (per-user
-scheme), ``evaluate_price`` and ``ration_tie`` end in it; ``ration_tie``
-admits from the columns and keeps a declined user local by pricing it at
-``NO_OFFLOAD_PRICE``. The exhaustive reference walk lives in ``verify``.
+Exact sums are column reductions (``_exact_sums``) with no Python number per
+user, and rounded once they equal math.fsum; ``_exact_units``, one float as
+an integer, is their oracle. One function, ``_priced_outcome``, turns prices
+into every ``PriceOutcome``: it computes each user's best response from
+``Scenario.columns`` with the operations of ``follower.best_response`` (so
+bit-identical to it) and totals load and revenue with those sums.
+``evaluate_prices`` (per-user scheme), ``evaluate_price`` and ``ration_tie``
+end in it; ``ration_tie`` admits from the columns and keeps a declined user
+local by pricing it at ``NO_OFFLOAD_PRICE``. The exhaustive reference walk
+lives in ``verify``.
 
 An outcome keeps its decisions as those columns (``Decisions``) and builds
 the ``OffloadDecision`` records on their first read, so the walk's outcomes,
@@ -43,9 +45,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import repeat
 from numbers import Real
-from operator import itemgetter
 
 import numpy as np
 
@@ -59,11 +60,52 @@ NO_OFFLOAD_PRICE = math.inf
 # Every finite float is a whole number of them, and int / int division rounds
 # correctly, so ``total / _EXACT_UNIT`` is the value math.fsum would report.
 _EXACT_UNIT = 1 << 1074
+# Below these lengths math.fsum of a list, and one integer per item, are
+# faster than the column sums.
+_FSUM_BELOW, _SHORT = 800, 128
 
 
 def _exact_units(x: float) -> int:
+    """One float in units of 2**-1074: the oracle of ``_exact_sums``."""
     numerator, denominator = x.as_integer_ratio()  # a power of two <= 2**1074
     return numerator << (1075 - denominator.bit_length())
+
+
+def _exact_sums(x: np.ndarray, group: np.ndarray | None = None,
+                groups: int = 1) -> list[int]:
+    """The exact sum of the finite floats ``x`` per group (``group`` holds
+    each item's, 0 by default) in units of 2**-1074: Neal's small
+    superaccumulator (arXiv:1505.05571). Significand halves, shifted within
+    a quartet of exponents, add up per (group, quartet) in int64, exactly
+    below 2**33 items; the quartets meet in one int per group."""
+    significand, exponent = np.frexp(x)
+    units = (significand * 2.0**53).astype(np.int64)   # of 2**(exponent - 53)
+    if len(x) < _SHORT:                # one Python integer per item is faster
+        totals = [0] * groups          # in units of 2**-1126
+        for g, u, place in zip(repeat(0) if group is None else group.tolist(),
+                               units.tolist(), (exponent + 1073).tolist()):
+            totals[g] += u << place
+        return [total >> 52 for total in totals]
+    low = int(exponent.min())
+    offset = exponent - low
+    width = (int(exponent.max()) - low >> 2) + 1       # quartets per group
+    key = offset >> 2 if group is None else (offset >> 2) + group * width
+    offset &= 3
+    high, rest = np.zeros((2, groups * width), np.int64)
+    np.add.at(high, key, units >> 27 << offset)        # |.| <= 2**29
+    np.add.at(rest, key, (units & (1 << 27) - 1) << offset)   # < 2**30
+    places = [low + 1073 + 4 * q for q in range(width)]   # shifts, all >= 0
+    high, rest = high.tolist(), rest.tolist()
+    return [sum(((h << 27) + r) << p for h, r, p in zip(
+        high[g:g + width], rest[g:g + width], places)) >> 52   # exact
+        for g in range(0, groups * width, width)]
+
+
+def _fsum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())``, by ``_exact_sums`` on long finite columns."""
+    if len(x) < _FSUM_BELOW or not math.isfinite(x.sum()):
+        return math.fsum(x.tolist())
+    return _exact_sums(x)[0] / _EXACT_UNIT
 
 
 class Decisions(LazyTuple):
@@ -115,9 +157,9 @@ def _priced_outcome(scenario: Scenario, prices: Sequence[float],
     decisions = Decisions(np.where(offload, c.balance_bits, 0.0), offload,
                           cost, np.where(offload, c.offload_latency_s,
                                          c.local_s), payment)
-    load = math.fsum(c.load_cycles[offload].tolist())
+    load = _fsum(c.load_cycles[offload])
     feasible = load <= scenario.system.cloud_capacity_cycles
-    revenue = math.fsum(payment[offload].tolist()) if feasible else 0.0
+    revenue = _fsum(payment[offload]) if feasible else 0.0
     return PriceOutcome(prices=tuple(prices), decisions=decisions,
                         total_load_cycles=load, revenue_s=revenue,
                         feasible=feasible)
@@ -162,15 +204,21 @@ def ration_tie(scenario: Scenario, price: float) -> PriceOutcome | None:
     None when the users strictly above the price overflow the capacity by
     themselves (below the walk's first overflowing candidate).
 
-    The running load is an exact integer sum of the float loads (in units of
-    2**-1074), and each admission tests the correctly rounded float of that
-    sum. That float is ``math.fsum`` of the served loads, the very value
-    reported as ``total_load_cycles``, so rounding never takes the load over
-    the capacity.
+    The load above the price is one exact column sum (``_exact_sums``, in
+    units of 2**-1074) that the tied users join one at a time, and each
+    admission tests the correctly rounded float of the sum. That float is
+    ``math.fsum`` of the served loads, the very value reported as
+    ``total_load_cycles``, so rounding never takes the load over the capacity.
     """
     c = scenario.columns
+    return _ration(scenario, price,
+                   _exact_sums(c.load_cycles[c.threshold > price])[0])
+
+
+def _ration(scenario: Scenario, price: float, total: int) -> PriceOutcome | None:
+    """``ration_tie`` given ``total``, the exact load above ``price``."""
+    c = scenario.columns
     capacity = scenario.system.cloud_capacity_cycles
-    total = sum(map(_exact_units, c.load_cycles[c.threshold > price].tolist()))
     if total / _EXACT_UNIT > capacity:
         return None
     paid_at = np.full(len(c.threshold), price)
@@ -226,10 +274,11 @@ def solve_uniform(scenario: Scenario) -> PriceOutcome:
     """What ``best_settled`` picks along ``price_walk``, found without
     walking.
 
-    The users sorted by threshold, falling, offload in prefixes. Exact
-    prefix sums of their loads (``_exact_units``) give each candidate's load
-    rounded as ``evaluate_price`` rounds it, up to the first overflowing
-    candidate, which ``ration_tie`` settles. A fitting candidate's revenue,
+    Every CPU tier's exact load is one column reduction (``_exact_sums``,
+    in units of 2**-1074); running totals over the tiers, from the highest
+    threshold down, give each candidate's load rounded as ``evaluate_price``
+    rounds it, up to the first overflowing candidate, which ``ration_tie``
+    settles from the total above it. A fitting candidate's revenue,
     the fsum of its payments price * load, and its screened price * load
     differ by four roundings of relative size 2**-53 at most, so they lie
     within a relative 2**-50 of each other (plus a floor for subnormal
@@ -240,21 +289,22 @@ def solve_uniform(scenario: Scenario) -> PriceOutcome:
     """
     c = scenario.columns
     capacity = scenario.system.cloud_capacity_cycles
-    order = np.argsort(c.threshold)[::-1]
+    tiers = np.sort(c.threshold)
+    tiers = tiers[np.append(True, tiers[1:] != tiers[:-1])]   # as np.unique
+    tier_loads = _exact_sums(c.load_cycles, np.searchsorted(tiers, c.threshold),
+                             len(tiers))
     screened: list[tuple[float, float]] = []   # (price, price * load) that fit
     rationed = None
     total = 0
-    for price, group in groupby(zip(c.threshold[order].tolist(),
-                                    c.load_cycles[order].tolist()),
-                                key=itemgetter(0)):
-        total += sum(_exact_units(x) for _, x in group)
-        load = total / _EXACT_UNIT
+    for price, units in zip(reversed(tiers.tolist()), reversed(tier_loads)):
+        load = (total + units) / _EXACT_UNIT
         if load > capacity:
-            rationed = ration_tie(scenario, price)
+            rationed = _ration(scenario, price, total)
             break
+        total += units
         screened.append((price, price * load))
 
-    rel, tiny = 2.0**-50, (len(order) + 4) * 2.0**-1074
+    rel, tiny = 2.0**-50, (len(c.threshold) + 4) * 2.0**-1074
     floor = max([r - r * rel - tiny for _, r in screened]
                 + [rationed.revenue_s if rationed is not None else 0.0])
     return best_settled(scenario, [

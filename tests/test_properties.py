@@ -12,7 +12,9 @@ from edgeprice import (BRUTE_FORCE_MAX_ITEMS, NO_OFFLOAD_PRICE, Scenario,
                        solve_differentiated, solve_knapsack_branch_and_bound,
                        solve_knapsack_bruteforce, solve_uniform, task_latency)
 from edgeprice.kinetics import UserColumns
-from edgeprice.uniform import candidate_prices, evaluate_price
+from edgeprice.uniform import (_FSUM_BELOW, _SHORT, _exact_sums, _exact_units,
+                               _fsum, candidate_prices, evaluate_price,
+                               price_walk)
 from edgeprice.verify import solve_uniform_exhaustive
 
 seeds = st.integers(0, 2**63 - 1)
@@ -142,3 +144,81 @@ def test_columns_are_the_scalar_kinetics_bit_for_bit(config):
     for f in fields(UserColumns):
         assert np.array_equal(_bits(getattr(again.columns, f.name)),
                               _bits(getattr(s.columns, f.name))), f.name
+
+
+# column lengths on both sides of the per-item and the fsum cuts
+CUT_LENGTHS = (0, 1, 2, 7, _SHORT - 1, _SHORT, _SHORT + 1, 300,
+               _FSUM_BELOW - 1, _FSUM_BELOW, 2000)
+# signed floats from 2**-1074 to 2**1000: subnormals, zeros, mixed exponents
+WIDE_FLOATS = st.one_of(
+    st.floats(-2.0**1000, 2.0**1000, allow_nan=False),
+    st.floats(-2.0**-1000, 2.0**-1000),
+    st.sampled_from((5e-324, -5e-324, 2.0**-1022, 0.0, -0.0, 1.0, 2.0**1000)))
+
+
+@st.composite
+def grouped_columns(draw):
+    """A column drawn from a few wide floats, so values repeat, and each
+    item's group among 1-40 groups, some of them empty."""
+    palette = np.array(draw(st.lists(WIDE_FLOATS, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.sampled_from(CUT_LENGTHS))
+    groups = draw(st.sampled_from((1, 2, 3, 40)))
+    return (palette[rng.integers(0, len(palette), n)],
+            rng.integers(0, groups, n), groups)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grouped_columns())
+def test_exact_column_sums_are_the_exact_units_and_round_as_fsum(column):
+    x, group, groups = column
+    assert _exact_sums(x, group, groups) == [
+        sum(map(_exact_units, x[group == g].tolist())) for g in range(groups)]
+    assert _exact_sums(x) == [sum(map(_exact_units, x.tolist()))]
+    # repr tells -0.0 from 0.0; fsum returns 0.0 for every zero sum
+    assert repr(_fsum(x)) == repr(math.fsum(x.tolist()))
+
+
+@st.composite
+def prefix_capacities(draw):
+    """Users on 1-3 CPU tiers, fewer or more than each cut, with the capacity
+    at the fsum of the loads a shared price serves (the users above it, then
+    the first j tied ones in index order), or one ulp above that sum."""
+    num_users = draw(st.sampled_from((5, _SHORT - 1, _SHORT + 1,
+                                      _FSUM_BELOW + 1)))
+    cpus = draw(st.sampled_from(((1e9,), (5e8, 1e9), (2e8, 6e8, 1e9))))
+    config = ScenarioConfig(num_users=num_users, seed=draw(seeds),
+                            local_cpu_min_cps=cpus[0], local_cpu_max_cps=cpus[-1],
+                            local_cpu_step_cps=(cpus[-1] - cpus[0]) / 2 or 1e8)
+    s = sample_scenario(config)
+    c = s.columns
+    price = float(draw(st.sampled_from(sorted(set(c.threshold.tolist())))))
+    above = c.load_cycles[c.threshold > price].tolist()
+    tied = c.load_cycles[c.threshold == price].tolist()
+    capacity = math.fsum(above + tied[:draw(st.integers(0, len(tied)))])
+    if draw(st.booleans()):
+        capacity = math.nextafter(capacity, math.inf)
+    return _with_capacity(s, capacity)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(prefix_capacities())
+def test_prefix_on_the_capacity_or_one_ulp_above(s):
+    capacity = s.system.cloud_capacity_cycles
+    out = solve_uniform(s)
+    assert out == solve_uniform_exhaustive(s) == run_bargaining(s).final
+    assert out.total_load_cycles <= capacity
+    induced, settled = list(price_walk(s))[-1]
+    if induced.feasible or settled is None:
+        return
+    # the rationed round admits as a running fsum of the loads does
+    c = s.columns
+    price = induced.prices[0]
+    admitted = c.load_cycles[c.threshold > price].tolist()
+    flags = (c.threshold > price).tolist()
+    for k in np.flatnonzero(c.threshold == price).tolist():
+        if math.fsum(admitted + [c.load_cycles[k]]) <= capacity:
+            admitted.append(c.load_cycles[k])
+            flags[k] = True
+    assert settled.decisions.offload.tolist() == flags
+    assert settled.total_load_cycles == math.fsum(admitted)

@@ -316,6 +316,53 @@ def test_audit_flags_a_round_short_of_reports(two_user_scenario):
         "round 2"]
 
 
+def _after_a_bulk_round(trace: BargainTrace, reports) -> BargainTrace:
+    """Round 0's column counted in bulk, then a broadcast of unknown kind,
+    which leaves round 0 open, and ``reports`` labelled round 0."""
+    first, second = trace.rounds[:2]
+    assert isinstance(first.reports, Reports)
+    return BargainTrace(rounds=(first, replace(
+        second, broadcast=replace(second.broadcast, kind="Gossip"),
+        reports=reports)) + trace.rounds[2:], final=trace.final)
+
+
+_GOSSIP = "message 3 (Gossip, round 1): unknown message kind 'Gossip'"
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("a hand-built duplicate", [
+        "message 4 (OffloadReport, round 0): second report from user 1 in "
+        "this round"]),
+    ("a second column", [
+        "message 4 (OffloadReport, round 0): second report from user 0 in "
+        "this round",
+        "message 5 (OffloadReport, round 0): second report from user 1 in "
+        "this round"]),
+    ("a negative index", [
+        "message 4 (OffloadReport, round 0): negative user index -1",
+        "message 4 (OffloadReport, round 0): sender 'user_1' does not match "
+        "reported index -1"]),
+])
+def test_audit_checks_reports_after_a_bulk_round(two_user_scenario, label,
+                                                 expected):
+    # a report of a user counted in bulk is a second report, however it
+    # comes; a negative index is no user counted in bulk
+    trace = run_bargaining(two_user_scenario)
+    assert len(trace.rounds) == 2
+    round0 = trace.rounds[0].reports
+    reports = {
+        "a hand-built duplicate": (round0[1],),
+        "a second column": Reports(0, round0.bits),
+        "a negative index": (replace(round0[1], payload=(-1, 0.0)),),
+    }[label]
+    forged = _after_a_bulk_round(trace, reports)
+    found = [_GOSSIP, *expected,
+             f"message {4 + len(reports)} (Terminate, round 2): round 0 held "
+             f"{2 + len(reports)} reports, the first round 2"]
+    assert information_audit(forged) == found
+    assert information_audit(_as_tuples(forged)) == found
+
+
 def test_format_and_write_forged_trace(tmp_path, two_user_scenario):
     trace = run_bargaining(two_user_scenario)
     forged = _forged(trace, 0, {"bits": 1.0})

@@ -142,9 +142,11 @@ def test_validation_problems_read_in_user_then_field_order():
 
 @pytest.mark.parametrize("value", ["5", None, b"5"])
 def test_a_field_that_is_no_number_is_flagged(value):
-    # numpy would parse "5" as 5.0
-    with pytest.raises(ValueError, match=rf"^invalid scenario: user 1: "
-                                         rf"cycles_per_bit must be finite"):
+    # numpy would parse "5" as 5.0; the message shows the value whole, so
+    # "5" does not read as the number 5
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"invalid scenario: user 1: cycles_per_bit must be finite and > 0 "
+            f"(got {value!r})")):
         Scenario(make_system(2, 6e9),
                  (make_profile(), make_profile(cycles_per_bit=value)))
 
