@@ -10,9 +10,9 @@ rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
 the outcome its price induces, ties offloading, as ``price_walk`` yields it.
 Its broadcast is a ``Message``; its reports are ``Reports``, the outcome's own
 offload-size column, whose ``Message``s are built only when they are read.
-So the replay builds one message per round. The trace writes a column's
-report lines from the column; the audit counts a clean column in bulk and
-checks every other report message by message.
+So the replay builds one message per round. The trace formats only changed
+report values, through a memo per user; the audit counts a clean column in
+bulk and checks every other report message by message.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -45,6 +45,9 @@ PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
 TERMINATE = "Terminate"
 CLOUD = "cloud"
+_FLOAT = "%.17g"   # a float's text in the trace, which reads back bit for bit
+_fmt = _FLOAT.__mod__
+_BATCH = 1 << 14   # values per ``%`` in ``_fmt_lines``: bounds a batch's text
 
 
 @dataclass(frozen=True)
@@ -243,8 +246,13 @@ def information_audit(trace: BargainTrace) -> list[str]:
     return audit.found
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _fmt_lines(values: np.ndarray) -> list[str]:
+    """Each value's ``_fmt`` and a newline, one ``%`` per ``_BATCH`` values."""
+    lines: list[str] = []
+    for start in range(0, len(values), _BATCH):
+        part = values[start:start + _BATCH].tolist()
+        lines += ((_FLOAT + "\n") * len(part) % tuple(part)).splitlines(True)
+    return lines
 
 
 def _message_line(msg: Message) -> str:
@@ -260,32 +268,34 @@ def _message_line(msg: Message) -> str:
 
 def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     """The trace text, one line per message: round, kind, sender, payload
-    fields. A hand-built round comes message by message. A ``Reports``
-    round comes as one piece, all its report lines, written from its
-    column through one memo, per user: user i's line after the round number
-    is rebuilt only when its bits differ from the previous round's, bit for
-    bit (so zeros keep their sign), and each rebuilt line formats once."""
-    tails: list[str] = []   # user i's report line after its round number
+    fields. A hand-built round comes message by message, a ``Reports`` round
+    as its round number and its report lines joined by it. Per user a memo
+    keeps the head up to ``bits=`` and the line, rebuilt when the bits change
+    bit for bit: +0.0 as ``0``, other values formatted by ``_fmt_lines``."""
+    heads = tails = np.empty(0, dtype=object)   # user i's head, and its line
     shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
     for rnd in trace.rounds:
         yield _message_line(rnd.broadcast)
         reports = rnd.reports
         if not isinstance(reports, Reports):
-            for msg in reports:
-                yield _message_line(msg)
+            yield from map(_message_line, reports)
             continue
         pattern = reports.bits.view(np.int64)
         n, m = len(pattern), min(len(pattern), len(shown))
-        changed = [*np.flatnonzero(pattern[:m] != shown[:m]).tolist(),
-                   *range(m, n)]
-        tails.extend(repeat("", n - len(tails)))
+        if n > len(heads):   # new users, whose lines are all rebuilt below
+            new = np.array([f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits="
+                            for i in range(len(heads), n)], dtype=object)
+            heads, tails = np.append(heads, new), np.append(tails, new)
+        changed = np.concatenate((np.flatnonzero(pattern[:m] != shown[:m]),
+                                  np.arange(m, n)))
         shown = pattern
-        for i, bits in zip(changed, reports.bits[changed].tolist()):
-            tails[i] = (f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} "
-                        f"bits={_fmt(bits)}\n")
+        values = np.array(["0\n"] * len(changed), dtype=object)
+        formatted = np.flatnonzero(pattern[changed])   # all but +0.0
+        values[formatted] = _fmt_lines(reports.bits[changed[formatted]])
+        tails[changed] = heads[changed] + values
         if n:
             r = f"{reports.round_index}"
-            yield r + r.join(tails[:n])
+            yield from (r, r.join(tails[:n].tolist()))
     yield _message_line(trace.terminate)
 
 

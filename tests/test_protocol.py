@@ -11,8 +11,10 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
                        evaluate_price, format_trace, information_audit,
                        run_bargaining, sample_scenario, solve_uniform,
                        write_trace)
-from edgeprice.protocol import (BargainTrace, CLOUD, OFFLOAD_REPORT,
-                                PRICE_BROADCAST, TERMINATE, Reports, _fmt)
+from edgeprice import protocol
+from edgeprice.protocol import (BargainRound, BargainTrace, CLOUD,
+                                OFFLOAD_REPORT, PRICE_BROADCAST, TERMINATE,
+                                Reports, _fmt, _fmt_lines)
 from edgeprice.uniform import Decisions
 from edgeprice.verify import random_scenario_config
 
@@ -499,32 +501,101 @@ def test_replay_builds_one_message_per_round():
 
 
 @pytest.mark.parametrize("num_users, step", [(500, 1e8), (40, 1e5)])
-def test_trace_formats_each_changed_report_once(num_users, step):
+def test_trace_formats_each_changed_report_once(monkeypatch, num_users, step):
     # a report's line is rebuilt only when the user's bits change: every
     # report of the first round, then at most one change per user along the
-    # walk, each formatted once, plus one price per broadcast
+    # walk. A rebuilt +0.0 is the constant 0; every other rebuilt value goes
+    # once through the one batch formatter, and each broadcast formats its
+    # price alone
     trace = run_bargaining(sample_scenario(ScenarioConfig(
         num_users=num_users, seed=11, capacity_cycles=num_users * 2e8,
         local_cpu_step_cps=step)))
-    formatted = 0
+    batched, prices = [], []
 
-    def profile(frame, event, arg):
-        nonlocal formatted
-        if event == "call" and frame.f_code is _fmt.__code__:
-            formatted += 1
+    def fmt_lines(values):
+        batched.extend(values.tolist())
+        return _fmt_lines(values)
 
-    sys.setprofile(profile)
-    try:
-        format_trace(trace)
-    finally:
-        sys.setprofile(None)
+    def fmt(x):
+        prices.append(x)
+        return _fmt(x)
+
+    monkeypatch.setattr(protocol, "_fmt_lines", fmt_lines)
+    monkeypatch.setattr(protocol, "_fmt", fmt)
+    text = format_trace(trace)
+    monkeypatch.undo()
+    assert text == format_trace(_as_tuples(trace))
     patterns = [r.reports.bits.view(np.int64) for r in trace.rounds]
-    changed = len(patterns[0]) + sum(
-        np.count_nonzero(now != before)
-        for before, now in zip(patterns, patterns[1:]))
+    changed = np.concatenate([patterns[0]] + [
+        now[now != before] for before, now in zip(patterns, patterns[1:])])
     reports = sum(map(len, patterns))
-    assert len(trace.rounds) > 3 and changed < reports / 2
-    assert formatted == len(trace.rounds) + changed
+    assert len(trace.rounds) > 3 and len(changed) < reports / 2
+    assert np.count_nonzero(changed == 0) > 0
+    formatted = np.array(batched, dtype=float).view(np.int64)
+    assert np.count_nonzero(formatted == 0) == 0
+    assert formatted.tolist() == changed[changed != 0].tolist()
+    assert prices == [r.broadcast.payload for r in trace.rounds]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 1 << 14])
+def test_batch_formatter_matches_the_one_value_format(monkeypatch, batch):
+    monkeypatch.setattr(protocol, "_BATCH", batch)
+    values = np.array([1750880.8287817608, -0.0, math.nan, -math.nan,
+                       math.inf, -math.inf, 5e-324, 2.0**-1050, 1e300, 0.1])
+    assert _fmt_lines(values[:0]) == []
+    assert _fmt_lines(values) == [_fmt(x) + "\n" for x in values.tolist()]
+
+
+# a column two users shorter than the one before it, then three longer, and
+# user 1's bits going from a number to +0.0, -0.0, NaN and a number again
+MEMO_COLUMNS = ((1.5, 0.25, 2.0, 3.0), (1.5, 0.0),
+                (1.5, -0.0, 2.5, 2.0, 4.0), (1.5, math.nan, 2.5, 2.0, 4.0),
+                (1.5, 0.25, 2.5, 2.0, 4.0))
+MEMO_TRACE = (
+    "0\tPriceBroadcast\tcloud\tprice=5.0000000000000001e-09\n"
+    "0\tOffloadReport\tuser_0\tuser=0 bits=1.5\n"
+    "0\tOffloadReport\tuser_1\tuser=1 bits=0.25\n"
+    "0\tOffloadReport\tuser_2\tuser=2 bits=2\n"
+    "0\tOffloadReport\tuser_3\tuser=3 bits=3\n"
+    "1\tPriceBroadcast\tcloud\tprice=4.0000000000000002e-09\n"
+    "1\tOffloadReport\tuser_0\tuser=0 bits=1.5\n"
+    "1\tOffloadReport\tuser_1\tuser=1 bits=0\n"
+    "2\tPriceBroadcast\tcloud\tprice=3.0000000000000004e-09\n"
+    "2\tOffloadReport\tuser_0\tuser=0 bits=1.5\n"
+    "2\tOffloadReport\tuser_1\tuser=1 bits=-0\n"
+    "2\tOffloadReport\tuser_2\tuser=2 bits=2.5\n"
+    "2\tOffloadReport\tuser_3\tuser=3 bits=2\n"
+    "2\tOffloadReport\tuser_4\tuser=4 bits=4\n"
+    "3\tPriceBroadcast\tcloud\tprice=2.0000000000000001e-09\n"
+    "3\tOffloadReport\tuser_0\tuser=0 bits=1.5\n"
+    "3\tOffloadReport\tuser_1\tuser=1 bits=nan\n"
+    "3\tOffloadReport\tuser_2\tuser=2 bits=2.5\n"
+    "3\tOffloadReport\tuser_3\tuser=3 bits=2\n"
+    "3\tOffloadReport\tuser_4\tuser=4 bits=4\n"
+    "4\tPriceBroadcast\tcloud\tprice=1.0000000000000001e-09\n"
+    "4\tOffloadReport\tuser_0\tuser=0 bits=1.5\n"
+    "4\tOffloadReport\tuser_1\tuser=1 bits=0.25\n"
+    "4\tOffloadReport\tuser_2\tuser=2 bits=2.5\n"
+    "4\tOffloadReport\tuser_3\tuser=3 bits=2\n"
+    "4\tOffloadReport\tuser_4\tuser=4 bits=4\n"
+    "5\tTerminate\tcloud\t-\n"
+)
+
+
+def test_trace_memo_leaks_no_stale_line(tmp_path):
+    # users 2 and 3 leave and come back with other bits, user 4 is new, and
+    # user 1's line follows its value through both zeros and NaN
+    outcome = _golden_trace().final
+    trace = BargainTrace(rounds=tuple(
+        BargainRound(broadcast=Message(PRICE_BROADCAST, i, CLOUD,
+                                       1e-9 * (5 - i)),
+                     reports=Reports(i, np.array(bits)), outcome=outcome)
+        for i, bits in enumerate(MEMO_COLUMNS)), final=outcome)
+    assert format_trace(trace) == MEMO_TRACE
+    assert format_trace(_as_tuples(trace)) == MEMO_TRACE
+    path = tmp_path / "memo.log"
+    write_trace(trace, str(path))
+    assert path.read_bytes().decode("utf-8") == MEMO_TRACE
 
 
 def _as_tuples(trace: BargainTrace) -> BargainTrace:

@@ -128,3 +128,10 @@ def test_every_private_helper_is_read():
             found.append(f"{stem}.py:{node.lineno} {name}")
     assert checked > 20
     assert found == []
+
+
+def test_trace_float_format_is_written_once():
+    # the trace shows every float through one format, shared by the writer's
+    # per-message path and its column path, so the two cannot drift apart
+    source = (PACKAGE_DIR / "protocol.py").read_text(encoding="utf-8")
+    assert source.count("%.17g") == 1
