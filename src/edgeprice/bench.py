@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields, replace
 from .differentiated import solve_differentiated
 from .scenario import (Scenario, ScenarioConfig, config_from_mapping,
                        parse_number, read_key_values, sample_scenario)
+from .text import EXACT
 from .uniform import NO_OFFLOAD_PRICE, evaluate_price, solve_uniform
 
 # Each scheme's outcome; keeping every user local is pricing all of them out.
@@ -37,6 +38,7 @@ SWEEP_NUM_USERS = "num_users"
 SWEEP_PARAMS = (SWEEP_CAPACITY, SWEEP_NUM_USERS)
 
 CSV_HEADER = "scheme,sweep_param,sweep_value,seed,avg_latency_s,revenue_s"
+_CSV_ROW = "%s,%s,{0},%d,{0},{0}\n".format(EXACT)   # a TrialResult's line
 
 # Seed offset between sweep points; see the module docstring.
 _POINT_STRIDE = 10**6
@@ -126,16 +128,10 @@ def run_sweep(spec: SweepSpec) -> list[TrialResult]:
     return results
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def format_csv(results: list[TrialResult]) -> str:
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(f"{r.scheme},{r.sweep_param},{_fmt(r.sweep_value)},"
-                     f"{r.seed},{_fmt(r.avg_latency_s)},{_fmt(r.revenue_s)}")
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join([
+        _CSV_ROW % (r.scheme, r.sweep_param, r.sweep_value, r.seed,
+                    r.avg_latency_s, r.revenue_s) for r in results])
 
 
 def write_csv(results: list[TrialResult], path: str) -> None:

@@ -6,15 +6,17 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .bench import (SCHEMES, SOLVERS, load_sweep_spec, run_sweep, run_trial,
                     write_csv)
 from .protocol import _trace_lines, run_bargaining, write_trace
 from .scenario import ScenarioConfig, load_scenario_config, sample_scenario
+from .text import SHOWN, format_rows
 from .verify import run_verify
 
-
-def _fmt(x: float) -> str:
-    return "%.9g" % x
+_USER_LINE = ("user %d: price={0} offload=%d bits={0} latency_s={0} "
+              "payment_s={0} cost_s={0}\n").format(SHOWN)
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -29,22 +31,23 @@ def _cmd_run(args) -> int:
     scenario = sample_scenario(config)
     print(f"scheme={args.scheme}")
     print(f"num_users={scenario.system.num_users}")
-    print(f"capacity_cycles={_fmt(scenario.system.cloud_capacity_cycles)}")
+    print(f"capacity_cycles={SHOWN % scenario.system.cloud_capacity_cycles}")
     if args.scheme == "local_only":
         result = run_trial(scenario, args.scheme)
-        print(f"avg_latency_s={_fmt(result.avg_latency_s)}")
-        print(f"revenue_s={_fmt(result.revenue_s)}")
+        print(f"avg_latency_s={SHOWN % result.avg_latency_s}")
+        print(f"revenue_s={SHOWN % result.revenue_s}")
         return 0
     outcome = SOLVERS[args.scheme](scenario)
     if args.scheme == "uniform":
-        print(f"price_s_per_cycle={_fmt(outcome.prices[0])}")
+        print(f"price_s_per_cycle={SHOWN % outcome.prices[0]}")
     print(f"feasible={outcome.feasible}")
-    print(f"total_load_cycles={_fmt(outcome.total_load_cycles)}")
-    print(f"revenue_s={_fmt(outcome.revenue_s)}")
-    for price, d in zip(outcome.prices, outcome.decisions):
-        print(f"user {d.user_index}: price={_fmt(price)} offload={d.offload_flag} "
-              f"bits={_fmt(d.offloaded_bits)} latency_s={_fmt(d.latency_s)} "
-              f"payment_s={_fmt(d.payment_s)} cost_s={_fmt(d.cost_s)}")
+    print(f"total_load_cycles={SHOWN % outcome.total_load_cycles}")
+    print(f"revenue_s={SHOWN % outcome.revenue_s}")
+    sys.stdout.writelines(format_rows(_USER_LINE, (
+        np.arange(len(outcome.prices)), np.asarray(outcome.prices),
+        outcome.decisions.offload, outcome.decisions.offloaded_bits,
+        outcome.decisions.latency_s, outcome.decisions.payment_s,
+        outcome.decisions.cost_s)))
     return 0
 
 

@@ -24,7 +24,8 @@ message: the trace shows the reports it was decided from.
 
 Rounds are synchronous and lossless: every report arrives before the next
 broadcast. The trace serializes to one message per line for golden-file
-comparisons; ``write_trace`` streams those lines to the file.
+comparisons; ``write_trace`` streams those lines to the file, formatting a
+round's changed report values with ``text.format_rows``.
 """
 
 from __future__ import annotations
@@ -39,15 +40,14 @@ from typing import Iterator
 import numpy as np
 
 from .scenario import LazyTuple, Scenario
+from .text import EXACT, format_rows
 from .uniform import PriceOutcome, best_settled, price_walk
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
 TERMINATE = "Terminate"
 CLOUD = "cloud"
-_FLOAT = "%.17g"   # a float's text in the trace, which reads back bit for bit
-_fmt = _FLOAT.__mod__
-_BATCH = 1 << 14   # values per ``%`` in ``_fmt_lines``: bounds a batch's text
+_fmt = EXACT.__mod__   # a float's text in the trace, which reads back bit for bit
 
 
 @dataclass(frozen=True)
@@ -246,15 +246,6 @@ def information_audit(trace: BargainTrace) -> list[str]:
     return audit.found
 
 
-def _fmt_lines(values: np.ndarray) -> list[str]:
-    """Each value's ``_fmt`` and a newline, one ``%`` per ``_BATCH`` values."""
-    lines: list[str] = []
-    for start in range(0, len(values), _BATCH):
-        part = values[start:start + _BATCH].tolist()
-        lines += ((_FLOAT + "\n") * len(part) % tuple(part)).splitlines(True)
-    return lines
-
-
 def _message_line(msg: Message) -> str:
     p = msg.payload
     head = f"{msg.round}\t{msg.kind}\t{msg.sender}\t"
@@ -271,7 +262,7 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     fields. A hand-built round comes message by message, a ``Reports`` round
     as its round number and its report lines joined by it. Per user a memo
     keeps the head up to ``bits=`` and the line, rebuilt when the bits change
-    bit for bit: +0.0 as ``0``, other values formatted by ``_fmt_lines``."""
+    bit for bit: +0.0 as ``0``, other values by ``text.format_rows``."""
     heads = tails = np.empty(0, dtype=object)   # user i's head, and its line
     shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
     for rnd in trace.rounds:
@@ -291,7 +282,10 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
         shown = pattern
         values = np.array(["0\n"] * len(changed), dtype=object)
         formatted = np.flatnonzero(pattern[changed])   # all but +0.0
-        values[formatted] = _fmt_lines(reports.bits[changed[formatted]])
+        lines: list[str] = []   # split a block at a time: one batch's text
+        for block in format_rows(EXACT + "\n", [reports.bits[changed[formatted]]]):
+            lines += block.splitlines(True)
+        values[formatted] = lines
         tails[changed] = heads[changed] + values
         if n:
             r = f"{reports.round_index}"

@@ -35,9 +35,8 @@ end in it; ``ration_tie`` admits from the columns and keeps a declined user
 local by pricing it at ``NO_OFFLOAD_PRICE``. The exhaustive reference walk
 lives in ``verify``.
 
-An outcome keeps its decisions as those columns (``Decisions``) and builds
-the ``OffloadDecision`` records on their first read, so the walk's outcomes,
-whose offload sizes alone the replay reads, never build them.
+An outcome keeps its decisions as those columns (``Decisions``). Only the
+oracles and the tests read them as ``OffloadDecision`` records.
 """
 
 from __future__ import annotations

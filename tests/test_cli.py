@@ -1,6 +1,13 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from edgeprice.bench import SOLVERS
 from edgeprice.cli import main
+from edgeprice.scenario import ScenarioConfig, sample_scenario
+from edgeprice.text import _BATCH
+from edgeprice.uniform import Decisions
 
 SCENARIO_CFG = "num_users = 4\nseed = 11\ncapacity_cycles = 3e9\n"
 SWEEP_CFG = (
@@ -19,6 +26,101 @@ def test_run_uniform_deterministic(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == first
     assert "revenue_s=" in first and "user 0:" in first
+
+
+# run's text for SCENARIO_CFG, pinned byte for byte
+RUN_TEXT = {
+    "uniform": (
+        "scheme=uniform\n"
+        "num_users=4\n"
+        "capacity_cycles=3e+09\n"
+        "price_s_per_cycle=5e-09\n"
+        "feasible=True\n"
+        "total_load_cycles=1.45691848e+09\n"
+        "revenue_s=7.2845924\n"
+        "user 0: price=5e-09 offload=0 bits=0 latency_s=2.25975305 "
+        "payment_s=0 cost_s=2.25975305\n"
+        "user 1: price=5e-09 offload=1 bits=2313399.09 latency_s=0.387465217 "
+        "payment_s=7.2845924 cost_s=7.67205762\n"
+        "user 2: price=5e-09 offload=0 bits=0 latency_s=8.4614171 "
+        "payment_s=0 cost_s=8.4614171\n"
+        "user 3: price=5e-09 offload=0 bits=0 latency_s=1.88587309 "
+        "payment_s=0 cost_s=1.88587309\n"),
+    "differentiated": (
+        "scheme=differentiated\n"
+        "num_users=4\n"
+        "capacity_cycles=3e+09\n"
+        "feasible=True\n"
+        "total_load_cycles=2.4355333e+09\n"
+        "revenue_s=9.24182205\n"
+        "user 0: price=2e-09 offload=1 bits=1715602.25 latency_s=0.302523402 "
+        "payment_s=1.95722965 cost_s=2.25975305\n"
+        "user 1: price=5e-09 offload=1 bits=2313399.09 latency_s=0.387465217 "
+        "payment_s=7.2845924 cost_s=7.67205762\n"
+        "user 2: price=inf offload=0 bits=0 latency_s=8.4614171 "
+        "payment_s=0 cost_s=8.4614171\n"
+        "user 3: price=inf offload=0 bits=0 latency_s=1.88587309 "
+        "payment_s=0 cost_s=1.88587309\n"),
+    "local_only": (
+        "scheme=local_only\n"
+        "num_users=4\n"
+        "capacity_cycles=3e+09\n"
+        "avg_latency_s=5.06977521\n"
+        "revenue_s=0\n"),
+}
+# sha256 prefixes of run's text for configs/scenario_default.cfg
+DEFAULT_RUN_SHA256 = {"uniform": "e990f00bfbb8c109",
+                      "differentiated": "e1f372e389ea7c9a",
+                      "local_only": "c576eff743a04b2c"}
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "scenario_default.cfg"
+
+
+@pytest.mark.parametrize("scheme", sorted(RUN_TEXT))
+def test_run_text_is_pinned(tmp_path, capsys, scheme):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SCENARIO_CFG)
+    assert main(["run", "--config", str(cfg), "--scheme", scheme]) == 0
+    assert capsys.readouterr().out == RUN_TEXT[scheme]
+    assert main(["run", "--config", str(DEFAULT_CFG), "--scheme", scheme]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DEFAULT_RUN_SHA256[scheme]
+
+
+@pytest.mark.parametrize("scheme", sorted(RUN_TEXT))
+def test_run_builds_no_decision_records(tmp_path, capsys, monkeypatch, scheme):
+    # run writes its lines from the outcome's columns, never its records
+    def refuse(self):
+        raise AssertionError("run built the OffloadDecision records")
+
+    monkeypatch.setattr(Decisions, "_build", refuse)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SCENARIO_CFG)
+    assert main(["run", "--config", str(cfg), "--scheme", scheme]) == 0
+    assert capsys.readouterr().out == RUN_TEXT[scheme]
+
+
+def _record_lines(outcome) -> list[str]:
+    """run's user lines as built from the ``OffloadDecision`` records."""
+    fmt = "%.9g".__mod__
+    return [f"user {d.user_index}: price={fmt(price)} offload={d.offload_flag} "
+            f"bits={fmt(d.offloaded_bits)} latency_s={fmt(d.latency_s)} "
+            f"payment_s={fmt(d.payment_s)} cost_s={fmt(d.cost_s)}\n"
+            for price, d in zip(outcome.prices, outcome.decisions)]
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "differentiated"])
+def test_run_user_lines_match_the_records(tmp_path, capsys, scheme):
+    # more users than two batches of the line writer, so a batch boundary
+    # and a short last batch are both crossed
+    k = 2 * _BATCH + 3
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"num_users = {k}\nseed = 5\ncapacity_cycles = {2e8 * k}\n")
+    assert main(["run", "--config", str(cfg), "--scheme", scheme]) == 0
+    lines = capsys.readouterr().out.splitlines(True)
+    outcome = SOLVERS[scheme](sample_scenario(ScenarioConfig(
+        num_users=k, seed=5, capacity_cycles=2e8 * k)))
+    assert lines[-k - 1].startswith("revenue_s=")
+    assert lines[-k:] == _record_lines(outcome)
 
 
 def test_run_all_schemes(tmp_path, capsys):

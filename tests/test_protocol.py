@@ -14,7 +14,8 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
 from edgeprice import protocol
 from edgeprice.protocol import (BargainRound, BargainTrace, CLOUD,
                                 OFFLOAD_REPORT, PRICE_BROADCAST, TERMINATE,
-                                Reports, _fmt, _fmt_lines)
+                                Reports, _fmt)
+from edgeprice.text import EXACT, SHOWN, format_rows
 from edgeprice.uniform import Decisions
 from edgeprice.verify import random_scenario_config
 
@@ -506,22 +507,25 @@ def test_trace_formats_each_changed_report_once(monkeypatch, num_users, step):
     # report of the first round, then at most one change per user along the
     # walk. A rebuilt +0.0 is the constant 0; every other rebuilt value goes
     # once through the one batch formatter, and each broadcast formats its
-    # price alone
+    # price alone. Batches of 3 make a round's values span several batches,
+    # and the round keeps them all
     trace = run_bargaining(sample_scenario(ScenarioConfig(
         num_users=num_users, seed=11, capacity_cycles=num_users * 2e8,
         local_cpu_step_cps=step)))
     batched, prices = [], []
 
-    def fmt_lines(values):
+    def fmt_rows(row, columns):
+        (values,) = columns
         batched.extend(values.tolist())
-        return _fmt_lines(values)
+        return format_rows(row, columns)
 
     def fmt(x):
         prices.append(x)
         return _fmt(x)
 
-    monkeypatch.setattr(protocol, "_fmt_lines", fmt_lines)
+    monkeypatch.setattr(protocol, "format_rows", fmt_rows)
     monkeypatch.setattr(protocol, "_fmt", fmt)
+    monkeypatch.setattr("edgeprice.text._BATCH", 3)
     text = format_trace(trace)
     monkeypatch.undo()
     assert text == format_trace(_as_tuples(trace))
@@ -539,11 +543,28 @@ def test_trace_formats_each_changed_report_once(monkeypatch, num_users, step):
 
 @pytest.mark.parametrize("batch", [1, 3, 1 << 14])
 def test_batch_formatter_matches_the_one_value_format(monkeypatch, batch):
-    monkeypatch.setattr(protocol, "_BATCH", batch)
-    values = np.array([1750880.8287817608, -0.0, math.nan, -math.nan,
-                       math.inf, -math.inf, 5e-324, 2.0**-1050, 1e300, 0.1])
-    assert _fmt_lines(values[:0]) == []
-    assert _fmt_lines(values) == [_fmt(x) + "\n" for x in values.tolist()]
+    # the shared row writer gives each row the text of the row template
+    # applied to it alone, whatever the batch: one column and seven, float
+    # indices and flags in %d cells, signed zeros, NaN, infinities and
+    # subnormals, and tables of 1, a batch and a batch and one rows
+    monkeypatch.setattr("edgeprice.text._BATCH", batch)
+    specials = [1750880.8287817608, 0.0, -0.0, math.nan, -math.nan, math.inf,
+                -math.inf, 5e-324, 2.0**-1050, 1e300, 0.1]
+    seven = ("user %d: price={0} offload=%d bits={0} latency_s={0} "
+             "payment_s={0} cost_s={0}\n").format(SHOWN)
+    for n in (1, batch, batch + 1):
+        values = np.resize(np.array(specials), n)
+        index = np.arange(n, dtype=float)
+        flags = (np.arange(n) % 2).astype(float)
+        one = "".join(format_rows(EXACT + "\n", [values]))
+        assert one == "".join(_fmt(x) + "\n" for x in values.tolist())
+        columns = [index, values, flags, values[::-1], -values, values, values]
+        rows = "".join(format_rows(seven, columns))
+        assert rows == "".join(seven % tuple(row) for row in zip(
+            range(n), values.tolist(), (np.arange(n) % 2).tolist(),
+            *(c.tolist() for c in columns[3:])))
+        assert len(list(format_rows(seven, columns))) == -(-n // batch)
+        assert list(format_rows(seven, [c[:0] for c in columns])) == []
 
 
 # a column two users shorter than the one before it, then three longer, and

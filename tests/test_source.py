@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Iterator
 
 import edgeprice
+from edgeprice.uniform import Decisions
 
 PACKAGE_DIR = Path(edgeprice.__file__).resolve().parent
 
@@ -41,22 +42,30 @@ def test_scalar_best_response_stays_off_the_solvers():
 
 PRICING_PATH = ("uniform.py", "differentiated.py", "protocol.py", "bench.py",
                 "cli.py")
+DECISION_READERS = ("cli.py", "bench.py", "protocol.py")
 
 
 def test_pricing_path_reads_only_the_columns():
     # the solvers, the replay and the front ends read per-user data from
     # Scenario.columns; the scalar users and kinetics serve the oracles, so
-    # the pricing path may only count the users
+    # the pricing path may only count the users. Likewise the front ends and
+    # the replay read an outcome's decisions as columns, .decisions.<column>,
+    # or count them; the OffloadDecision records serve the oracles
     nodes = [(path, node) for path, node in _nodes()
              if str(path) in PRICING_PATH]
     counted = {id(node.args[0]) for _, node in nodes
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "len"
                and len(node.args) == 1}
+    columns = {id(node.value) for _, node in nodes
+               if isinstance(node, ast.Attribute)
+               and node.attr in Decisions._fields}
     found = [f"{path}:{node.lineno} .{node.attr}" for path, node in nodes
              if isinstance(node, ast.Attribute)
              and (node.attr == "kinetics"
-                  or node.attr == "users" and id(node) not in counted)]
+                  or node.attr == "users" and id(node) not in counted
+                  or node.attr == "decisions" and str(path) in DECISION_READERS
+                  and id(node) not in counted | columns)]
     assert found == []
 
 
@@ -131,7 +140,10 @@ def test_every_private_helper_is_read():
 
 
 def test_trace_float_format_is_written_once():
-    # the trace shows every float through one format, shared by the writer's
-    # per-message path and its column path, so the two cannot drift apart
-    source = (PACKAGE_DIR / "protocol.py").read_text(encoding="utf-8")
-    assert source.count("%.17g") == 1
+    # every float the package writes as text goes through one of two
+    # formats, each written once: %.17g, which reads back bit for bit (trace
+    # and CSV), and %.9g, for people to read (run)
+    sources = "".join(path.read_text(encoding="utf-8")
+                      for path in sorted(PACKAGE_DIR.rglob("*.py")))
+    assert sources.count("%.17g") == 1
+    assert sources.count("%.9g") == 1
