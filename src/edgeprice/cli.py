@@ -65,10 +65,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trace(args) -> int:
     config = _scenario_config(args)
-    trace = run_bargaining(sample_scenario(config))
+    scenario = sample_scenario(config)
+    trace = run_bargaining(scenario)
     if args.out:
         write_trace(trace, args.out)
-        messages = sum(1 + len(r.reports) for r in trace.rounds) + 1
+        # a broadcast and one report per user each round, then the terminate
+        messages = len(trace.rounds) * (1 + len(scenario.users)) + 1
         print(f"wrote {messages} messages to {args.out}")
     else:
         sys.stdout.writelines(_trace_lines(trace))

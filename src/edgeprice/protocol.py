@@ -1,18 +1,19 @@
 """The uniform-pricing bargain replayed as an explicit message exchange.
 
-The replay records ``uniform.price_walk``, the walk ``solve_uniform`` takes:
+The replay records the walk ``solve_uniform`` takes (``uniform._tier_pass``):
 each round the cloud broadcasts a candidate price and every user answers
 with (its index, its offload size) computed purely from its own parameters.
 The cloud tallies the reported load against its capacity and either moves to
 the next lower candidate or terminates. The full exchange is recorded as an
-auditable trace whose final outcome is ``uniform.best_settled`` over the
-rounds, so it matches the direct solver exactly. Each ``BargainRound`` holds
-the outcome its price induces, ties offloading, as ``price_walk`` yields it.
-Its broadcast is a ``Message``; its reports are ``Reports``, the outcome's own
-offload-size column, whose ``Message``s are built only when they are read.
-So the replay builds one message per round. The trace formats only changed
-report values, through a memo per user; the audit counts a clean column in
-bulk and checks every other report message by message.
+auditable trace whose final outcome is the walk's, so it matches the direct
+solver exactly. The walk is a descending clock, so a round is fully
+determined by its price: a replay keeps one broadcast ``Message`` per round
+(``Rounds``) and builds each ``BargainRound`` when it is read, keeping none.
+Its reports are ``Reports`` over the offload-size column at its price, whose
+``Message``s are built only when they are read; the outcome its price
+induces, ties offloading, is computed only for a reader of it. The trace
+formats only changed report values, through a memo per user; the audit
+counts a clean column in bulk and checks every other report one by one.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -31,17 +32,18 @@ round's changed report values with ``text.format_rows``.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .scenario import LazyTuple, Scenario
 from .text import EXACT, format_rows
-from .uniform import PriceOutcome, best_settled, price_walk
+from .uniform import PriceOutcome, _priced_outcome, _responses, _tier_pass
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -88,10 +90,59 @@ class BargainRound:
     reports: Sequence[Message]   # Reports, or a tuple for a hand-built round
     outcome: PriceOutcome   # induced by the broadcast price, ties offloading
 
+    def __getattr__(self, name: str) -> PriceOutcome:
+        """A round ``Rounds`` built computes its outcome on the first read:
+        ``evaluate_price`` at its price, over its reports' own column."""
+        lazy = vars(self).get("_lazy")   # (scenario, _responses at the price)
+        if name != "outcome" or lazy is None:
+            raise AttributeError(name)
+        price = self.broadcast.payload
+        vars(self)[name] = _priced_outcome(lazy[0], (price,) * len(self.reports),
+                                           price, lazy[1])
+        return vars(self)[name]
+
+
+class Rounds(Sequence):
+    """A replay's rounds, kept as its scenario and one broadcast per visited
+    price. Each read builds a round, and none is kept. It compares, hashes
+    and slices as the tuple of its rounds, and a slice is that tuple."""
+
+    def __init__(self, scenario: Scenario, prices: Sequence[float]) -> None:
+        self.scenario = scenario
+        self.broadcasts = tuple(map(Message, repeat(PRICE_BROADCAST), count(),
+                                    repeat(CLOUD), prices))
+
+    def __len__(self) -> int:
+        return len(self.broadcasts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        broadcast = self.broadcasts[index]
+        answers = _responses(self.scenario.columns, broadcast.payload)
+        rnd = BargainRound.__new__(BargainRound)
+        vars(rnd).update(broadcast=broadcast, _lazy=(self.scenario, answers),
+                         reports=Reports(broadcast.round, answers[1]))
+        return rnd
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Rounds, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __radd__(self, other: tuple) -> tuple:
+        return other + tuple(self)
+
 
 @dataclass(frozen=True)
 class BargainTrace:
-    rounds: tuple[BargainRound, ...]
+    rounds: Sequence[BargainRound]   # Rounds, or a tuple for a hand-built trace
     final: PriceOutcome
 
     @cached_property
@@ -107,7 +158,7 @@ class BargainTrace:
 
 
 def run_bargaining(scenario: Scenario) -> BargainTrace:
-    """Play the descending-price rounds of ``price_walk`` and record every message.
+    """Play the descending-price rounds of the walk and record every message.
 
     The cloud knows each user's cycles_per_bit and local_cpu_cps (collected
     up front to form the candidate list); everything else stays on the
@@ -115,20 +166,11 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
     offloading. The round whose reports overflow the capacity is the last:
     the cloud admits the users above its price and then the tied users in
     index order while their reported load fits (``ration_tie``). The final
-    outcome is the best settled round, as in ``solve_uniform``.
+    outcome is the best settled round, as in ``solve_uniform``: both are
+    ``uniform._tier_pass``, whose visited prices are the rounds.
     """
-    rounds: list[BargainRound] = []
-    settled: list[PriceOutcome | None] = []
-    for round_index, (induced, outcome) in enumerate(price_walk(scenario)):
-        broadcast = Message(kind=PRICE_BROADCAST, round=round_index,
-                            sender=CLOUD, payload=induced.prices[0])
-        rounds.append(BargainRound(
-            broadcast=broadcast,
-            reports=Reports(round_index, induced.decisions.offloaded_bits),
-            outcome=induced))
-        settled.append(outcome)
-    return BargainTrace(rounds=tuple(rounds),
-                        final=best_settled(scenario, settled))
+    prices, final = _tier_pass(scenario)
+    return BargainTrace(rounds=Rounds(scenario, prices), final=final)
 
 
 class _Audit:
@@ -263,7 +305,8 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     as its round number and its report lines joined by it. Per user a memo
     keeps the head up to ``bits=`` and the line, rebuilt when the bits change
     bit for bit: +0.0 as ``0``, other values by ``text.format_rows``."""
-    heads = tails = np.empty(0, dtype=object)   # user i's head, and its line
+    heads: list[str] = []   # user i's head
+    tails: list[str] = []   # and its line, which a round joins as it is
     shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
     for rnd in trace.rounds:
         yield _message_line(rnd.broadcast)
@@ -274,22 +317,23 @@ def _trace_lines(trace: BargainTrace) -> Iterator[str]:
         pattern = reports.bits.view(np.int64)
         n, m = len(pattern), min(len(pattern), len(shown))
         if n > len(heads):   # new users, whose lines are all rebuilt below
-            new = np.array([f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits="
-                            for i in range(len(heads), n)], dtype=object)
-            heads, tails = np.append(heads, new), np.append(tails, new)
+            new = [f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits="
+                   for i in range(len(heads), n)]
+            heads += new
+            tails += new
         changed = np.concatenate((np.flatnonzero(pattern[:m] != shown[:m]),
                                   np.arange(m, n)))
         shown = pattern
-        values = np.array(["0\n"] * len(changed), dtype=object)
-        formatted = np.flatnonzero(pattern[changed])   # all but +0.0
+        nonzero = pattern[changed] != 0   # formatted; +0.0 is the constant
         lines: list[str] = []   # split a block at a time: one batch's text
-        for block in format_rows(EXACT + "\n", [reports.bits[changed[formatted]]]):
+        for block in format_rows(EXACT + "\n", [reports.bits[changed[nonzero]]]):
             lines += block.splitlines(True)
-        values[formatted] = lines
-        tails[changed] = heads[changed] + values
+        values = iter(lines)
+        for i, formatted in zip(changed.tolist(), nonzero.tolist()):
+            tails[i] = heads[i] + (next(values) if formatted else "0\n")
         if n:
             r = f"{reports.round_index}"
-            yield from (r, r.join(tails[:n].tolist()))
+            yield from (r, r.join(tails if n == len(tails) else tails[:n]))
     yield _message_line(trace.terminate)
 
 

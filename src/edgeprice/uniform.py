@@ -3,11 +3,12 @@
 The revenue-optimal shared price lies in the finite candidate set
 {1/local_cpu_cps}: pushing a price upward inside a gap between candidates
 keeps every offload decision fixed while scaling revenue up, so interior
-prices are never optimal. ``price_walk`` visits the candidates from the most
+prices are never optimal. The walk visits the candidates from the most
 expensive down and stops at the first one whose induced load exceeds the
 cloud capacity (load only grows as the price falls); ``best_settled`` picks
-the outcome. It is the one copy of that walk, and ``protocol.run_bargaining``
-records it as messages.
+the outcome. ``_tier_pass`` is the one copy of that walk: ``solve_uniform``
+returns its outcome, and ``protocol.run_bargaining`` records its visited
+prices as rounds.
 
 At that first overflowing candidate the users tied at the price are
 indifferent between offloading and not, so the cloud serves them up to its
@@ -16,24 +17,20 @@ price offload their balance, as at the previous candidate, and the tied ones
 are served whole in index order, each only if its load still fits. That
 rationed outcome is scored with the other candidates and the walk stops.
 
-``solve_uniform`` returns what the walk settles on without walking it. Each
-candidate serves the CPU tiers at or above it, so running totals of the
-tiers' exact loads find the first overflowing candidate; each revenue above
-it is screened as price times load, within a certified relative error band,
-and only the candidates inside the band (one or two in practice) are
-rescored exactly, plus the rationed one. The walk evaluates every user at
-each candidate it visits.
+The walk evaluates no user per candidate: it totals the CPU tiers' exact
+loads and rescores only the candidates whose screened revenue may be best
+(``_tier_pass``). ``verify.solve_uniform_exhaustive`` scores every one.
 
 Exact sums are column reductions (``_exact_sums``) with no Python number per
 user, and rounded once they equal math.fsum; ``_exact_units``, one float as
 an integer, is their oracle. One function, ``_priced_outcome``, turns prices
 into every ``PriceOutcome``: it computes each user's best response from
 ``Scenario.columns`` with the operations of ``follower.best_response`` (so
-bit-identical to it) and totals load and revenue with those sums.
+bit-identical to it) and totals load and revenue with those sums; its
+offload-size column, which a bargaining round reports, is ``_responses``.
 ``evaluate_prices`` (per-user scheme), ``evaluate_price`` and ``ration_tie``
 end in it; ``ration_tie`` admits from the columns and keeps a declined user
-local by pricing it at ``NO_OFFLOAD_PRICE``. The exhaustive reference walk
-lives in ``verify``.
+local by pricing it at ``NO_OFFLOAD_PRICE``.
 
 An outcome keeps its decisions as those columns (``Decisions``). Only the
 oracles and the tests read them as ``OffloadDecision`` records.
@@ -42,7 +39,7 @@ oracles and the tests read them as ``OffloadDecision`` records.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Real
@@ -50,6 +47,7 @@ from numbers import Real
 import numpy as np
 
 from .follower import OffloadDecision
+from .kinetics import UserColumns
 from .scenario import LazyTuple, Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
@@ -137,25 +135,36 @@ def candidate_prices(scenario: Scenario) -> list[float]:
     return np.unique(scenario.columns.threshold).tolist()
 
 
+def _responses(c: UserColumns, paid_at: float | np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's answer to ``paid_at``: whether it offloads (ties offload)
+    and its offload size in bits, 0 when it keeps its data local."""
+    offload = paid_at <= c.threshold
+    return offload, np.where(offload, c.balance_bits, 0.0)
+
+
 def _priced_outcome(scenario: Scenario, prices: Sequence[float],
-                    paid_at: float | np.ndarray) -> PriceOutcome:
+                    paid_at: float | np.ndarray,
+                    responses: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> PriceOutcome:
     """The outcome of posting ``prices`` when every user answers ``paid_at``
     (one shared price or one per user): each user's best response, computed
     at once from ``Scenario.columns``, and the seller view of them (load,
-    feasibility, and the revenue, 0 when infeasible)."""
+    feasibility, and the revenue, 0 when infeasible). ``responses``, when
+    given, is ``_responses`` at ``paid_at``, already computed."""
     if not np.greater_equal(paid_at, 0.0).all():  # NaN fails too
         raise ValueError(f"price must be >= 0 (got {np.min(paid_at)})")
     c = scenario.columns
-    offload = paid_at <= c.threshold
+    offload, bits = responses or _responses(c, paid_at)
     # a user who keeps its data local pays 0, so NO_OFFLOAD_PRICE (inf)
     # never multiplies a load
     paid = np.where(offload, paid_at, 0.0)
     payment = paid * c.load_cycles
     cost = np.where(offload, (paid - c.threshold) * c.load_cycles + c.local_s,
                     c.local_s)
-    decisions = Decisions(np.where(offload, c.balance_bits, 0.0), offload,
-                          cost, np.where(offload, c.offload_latency_s,
-                                         c.local_s), payment)
+    decisions = Decisions(bits, offload, cost,
+                          np.where(offload, c.offload_latency_s, c.local_s),
+                          payment)
     load = _fsum(c.load_cycles[offload])
     feasible = load <= scenario.system.cloud_capacity_cycles
     revenue = _fsum(payment[offload]) if feasible else 0.0
@@ -234,25 +243,6 @@ def _ration(scenario: Scenario, price: float, total: int) -> PriceOutcome | None
     return outcome
 
 
-def price_walk(scenario: Scenario
-               ) -> Iterator[tuple[PriceOutcome, PriceOutcome | None]]:
-    """The descending-price walk: ``(induced, settled)`` per candidate.
-
-    ``induced`` is ``evaluate_price`` at the candidate (ties offload).
-    ``settled`` is what the cloud sells there: ``induced`` when it fits,
-    otherwise ``ration_tie`` of it (None if nothing can be sold). Load is
-    nondecreasing as the price falls, so everything below the first
-    overflowing candidate overflows too and the walk stops after it.
-    """
-    for price in reversed(candidate_prices(scenario)):
-        induced = evaluate_price(scenario, price)
-        if induced.feasible:
-            yield induced, induced
-        else:
-            yield induced, ration_tie(scenario, price)
-            return
-
-
 def best_settled(scenario: Scenario,
                  settled: Iterable[PriceOutcome | None]) -> PriceOutcome:
     """The highest-revenue outcome among ``settled``, given in descending
@@ -269,9 +259,9 @@ def best_settled(scenario: Scenario,
     return best
 
 
-def solve_uniform(scenario: Scenario) -> PriceOutcome:
-    """What ``best_settled`` picks along ``price_walk``, found without
-    walking.
+def _tier_pass(scenario: Scenario) -> tuple[list[float], PriceOutcome]:
+    """The walk: the candidates it visits, from the highest down through the
+    first overflowing one, and the outcome ``best_settled`` picks along them.
 
     Every CPU tier's exact load is one column reduction (``_exact_sums``,
     in units of 2**-1074); running totals over the tiers, from the highest
@@ -283,8 +273,8 @@ def solve_uniform(scenario: Scenario) -> PriceOutcome:
     within a relative 2**-50 of each other (plus a floor for subnormal
     payments). A candidate whose band stays below the best lower bound earns
     strictly less than some rescored outcome, so ``best_settled`` over the
-    rescored ones picks what the walk picks, ties to the larger price
-    included.
+    rescored ones picks what scoring every visited candidate picks, ties to
+    the larger price included.
     """
     c = scenario.columns
     capacity = scenario.system.cloud_capacity_cycles
@@ -292,21 +282,29 @@ def solve_uniform(scenario: Scenario) -> PriceOutcome:
     tiers = tiers[np.append(True, tiers[1:] != tiers[:-1])]   # as np.unique
     tier_loads = _exact_sums(c.load_cycles, np.searchsorted(tiers, c.threshold),
                              len(tiers))
-    screened: list[tuple[float, float]] = []   # (price, price * load) that fit
+    visited = tiers[::-1].tolist()
+    screened: list[float] = []   # price * load of each candidate that fits
     rationed = None
     total = 0
-    for price, units in zip(reversed(tiers.tolist()), reversed(tier_loads)):
+    for price, units in zip(visited, reversed(tier_loads)):
         load = (total + units) / _EXACT_UNIT
         if load > capacity:
             rationed = _ration(scenario, price, total)
             break
         total += units
-        screened.append((price, price * load))
+        screened.append(price * load)
+    del visited[len(screened) + 1:]   # the overflowing candidate is the last
 
     rel, tiny = 2.0**-50, (len(c.threshold) + 4) * 2.0**-1074
-    floor = max([r - r * rel - tiny for _, r in screened]
+    floor = max([r - r * rel - tiny for r in screened]
                 + [rationed.revenue_s if rationed is not None else 0.0])
-    return best_settled(scenario, [
+    return visited, best_settled(scenario, [
         evaluate_price(scenario, price)
-        for price, r in screened if r + r * rel + tiny >= floor
+        for price, r in zip(visited, screened) if r + r * rel + tiny >= floor
     ] + [rationed])
+
+
+def solve_uniform(scenario: Scenario) -> PriceOutcome:
+    """The revenue-optimal shared price's outcome: what ``best_settled``
+    picks along the walk, from ``_tier_pass``."""
+    return _tier_pass(scenario)[1]

@@ -1,17 +1,18 @@
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision,
-                       ScenarioConfig, best_response,
+from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision, Scenario,
+                       ScenarioConfig, best_response, candidate_prices,
                        evaluate_price, format_trace, information_audit,
                        run_bargaining, sample_scenario, solve_uniform,
                        write_trace)
-from edgeprice import protocol
+from edgeprice import protocol, uniform
 from edgeprice.protocol import (BargainRound, BargainTrace, CLOUD,
                                 OFFLOAD_REPORT, PRICE_BROADCAST, TERMINATE,
                                 Reports, _fmt)
@@ -413,6 +414,66 @@ def test_replay_builds_no_decision_records():
     assert built == len(scenario.users)
 
 
+def test_replay_readers_evaluate_no_outcome(monkeypatch, tmp_path):
+    # the trace, its file, its audit and its message count read only the
+    # broadcasts and the reports: a round's outcome is computed for a reader
+    # of it alone, and the trace keeps no round it built
+    scenario = sample_scenario(ScenarioConfig(
+        num_users=200, seed=11, capacity_cycles=200 * 2e8,
+        local_cpu_step_cps=1e6))
+    trace = run_bargaining(scenario)
+
+    def refuse(*args):
+        raise AssertionError("a reader evaluated a round's outcome")
+
+    for module in (uniform, protocol):
+        monkeypatch.setattr(module, "_priced_outcome", refuse)
+    text = format_trace(trace)
+    path = tmp_path / "bargain.log"
+    write_trace(trace, str(path))
+    assert information_audit(trace) == []
+    messages = sum(1 + len(r.reports) for r in trace.rounds) + 1
+    assert len(trace.rounds) > 10 and len(text.splitlines()) == messages
+    assert path.read_bytes().decode("utf-8") == text
+    with pytest.raises(AssertionError, match="evaluated"):
+        trace.rounds[1].outcome
+    monkeypatch.undo()
+    rnd = trace.rounds[1]
+    assert rnd is not trace.rounds[1]
+    assert rnd.reports[0].payload[0] == 0
+    assert rnd.outcome == evaluate_price(scenario, rnd.broadcast.payload)
+    read = weakref.ref(rnd)
+    del rnd
+    assert read() is None
+
+
+def test_replayed_rounds_equal_their_built_copies():
+    # a round read from a replay is a BargainRound as the constructor builds
+    # one: it compares, hashes and prints as its copy, and the rounds and
+    # the trace compare, hash and concatenate as the tuple of those copies
+    scenario = sample_scenario(ScenarioConfig(
+        num_users=40, seed=11, capacity_cycles=40 * 2e8,
+        local_cpu_step_cps=1e6))
+    trace = run_bargaining(scenario)
+    built = tuple(BargainRound(r.broadcast, tuple(r.reports),
+                               evaluate_price(scenario, r.broadcast.payload))
+                  for r in trace.rounds)
+    assert len(built) > 2
+    for rnd, copy in zip(trace.rounds, built):
+        assert type(rnd) is BargainRound
+        assert rnd == copy and copy == rnd and hash(rnd) == hash(copy)
+        assert repr(rnd) == repr(copy)
+        assert replace(rnd, outcome=trace.final) == \
+            replace(copy, outcome=trace.final)
+    assert trace.rounds == built and built == trace.rounds
+    assert hash(trace.rounds) == hash(built)
+    assert trace.rounds != built[:-1] and built[1:] != trace.rounds[:-1]
+    rebuilt = BargainTrace(rounds=built, final=trace.final)
+    assert trace == rebuilt and rebuilt == trace
+    assert trace.rounds + built[:1] == built + built[:1]
+    assert built[:1] + trace.rounds == built[:1] + built
+
+
 def _golden_trace() -> BargainTrace:
     return run_bargaining(sample_scenario(ScenarioConfig(num_users=3, seed=7)))
 
@@ -628,16 +689,35 @@ def _as_tuples(trace: BargainTrace) -> BargainTrace:
 
 
 @st.composite
-def replayed_traces(draw) -> BargainTrace:
-    """Replays of 1-30 users, a third of them on a fine CPU grid (steps of
+def replayed_scenarios(draw) -> Scenario:
+    """Scenarios of 1-30 users, a third of them on a fine CPU grid (steps of
     1e5-1e7 cycles/s, many rounds), at capacities from a twentieth to
     1.5 times 2e8 cycles per user."""
     num_users = draw(st.integers(1, 30))
     step = draw(st.sampled_from((1e8, 1e8, 1e8, 1e8, 1e8, 1e8, 1e5, 1e6, 1e7)))
     share = draw(st.floats(0.05, 1.5))
-    return run_bargaining(sample_scenario(ScenarioConfig(
+    return sample_scenario(ScenarioConfig(
         num_users=num_users, seed=draw(st.integers(0, 2**63 - 1)),
-        capacity_cycles=share * num_users * 2e8, local_cpu_step_cps=step)))
+        capacity_cycles=share * num_users * 2e8, local_cpu_step_cps=step))
+
+
+def replayed_traces():
+    """The replays of ``replayed_scenarios``."""
+    return replayed_scenarios().map(run_bargaining)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(replayed_scenarios())
+def test_replay_stops_at_the_first_overflowing_candidate(s):
+    # the stop rule, against each candidate scored on its own: the rounds
+    # broadcast the candidates from the highest down through the first one
+    # whose induced load overflows the capacity, or all of them
+    expected = []
+    for price in reversed(candidate_prices(s)):
+        expected.append(price)
+        if not evaluate_price(s, price).feasible:
+            break
+    assert [r.broadcast.payload for r in run_bargaining(s).rounds] == expected
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

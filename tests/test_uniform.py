@@ -10,7 +10,7 @@ from edgeprice import (NO_OFFLOAD_PRICE, Scenario, ScenarioConfig,
                        best_response, candidate_prices, evaluate_price,
                        run_bargaining, sample_scenario, solve_uniform)
 from edgeprice.uniform import (_EXACT_UNIT, _exact_units, _priced_outcome,
-                               best_settled, evaluate_prices, price_walk)
+                               best_settled, evaluate_prices, ration_tie)
 from edgeprice.verify import (grid_revenue_max, random_scenario_config,
                               solve_uniform_exhaustive)
 
@@ -145,7 +145,7 @@ def test_revenue_tie_breaks_toward_larger_price():
     assert best_settled(scenario, [low, high]) is low
     roomy = sample_scenario(ScenarioConfig(num_users=30, seed=21,
                                            capacity_cycles=1e12))
-    walked = [induced.prices[0] for induced, _ in price_walk(roomy)]
+    walked = [r.broadcast.payload for r in run_bargaining(roomy).rounds]
     assert len(walked) > 2
     assert walked == sorted(candidate_prices(roomy), reverse=True)
 
@@ -274,11 +274,12 @@ def test_rationed_round_matches_independent_reference():
     rationed = tied_served = 0
     for _ in range(400):
         s = sample_scenario(random_scenario_config(rng))
-        induced, settled = list(price_walk(s))[-1]
+        induced = run_bargaining(s).rounds[-1].outcome
         if induced.feasible:
             continue
         rationed += 1
         price = induced.prices[0]
+        settled = ration_tie(s, price)
         flags, admitted = _reference_ration(s, s.kinetics, price)
         assert settled is not None
         assert [d.offload_flag for d in settled.decisions] == flags
@@ -324,8 +325,9 @@ def test_rationing_at_exact_and_one_ulp_capacities(s):
     assert out == solve_uniform_exhaustive(s)
     assert out == run_bargaining(s).final
     assert out.total_load_cycles <= s.system.cloud_capacity_cycles
-    induced, settled = list(price_walk(s))[-1]
-    if not induced.feasible and settled is not None:
+    induced = run_bargaining(s).rounds[-1].outcome
+    settled = None if induced.feasible else ration_tie(s, induced.prices[0])
+    if settled is not None:
         flags, admitted = _reference_ration(s, s.kinetics, induced.prices[0])
         assert [d.offload_flag for d in settled.decisions] == flags
         assert settled.total_load_cycles == math.fsum(admitted)
@@ -414,7 +416,7 @@ def test_sorted_solve_matches_exhaustive_on_fine_grids():
             total * rng.uniform(0.0, 1.1))), drawn.users)
         out = solve_uniform(s)
         assert out == solve_uniform_exhaustive(s)
-        walk = [induced for induced, _ in price_walk(s)]
+        walk = [r.outcome for r in run_bargaining(s).rounds]
         for induced in walk[:-1]:
             # the screen's premise: price * load is within 2**-50 of revenue
             screened = induced.prices[0] * induced.total_load_cycles
