@@ -6,14 +6,11 @@ with (its index, its offload size) computed purely from its own parameters.
 The cloud tallies the reported load against its capacity and either moves to
 the next lower candidate or terminates. The full exchange is recorded as an
 auditable trace whose final outcome is the walk's, so it matches the direct
-solver exactly. The walk is a descending clock, so a round is fully
-determined by its price: a replay keeps one broadcast ``Message`` per round
-(``Rounds``) and builds each ``BargainRound`` when it is read, keeping none.
-Its reports are ``Reports`` over the offload-size column at its price, whose
-``Message``s are built only when they are read; the outcome its price
-induces, ties offloading, is computed only for a reader of it. The trace
-formats only changed report values, through a memo per user; the audit
-counts a clean column in bulk and checks every other report one by one.
+solver exactly. The walk is a descending clock: a user's report changes once,
+from 0 to its balance offload size, in the round whose price is its threshold
+1/local_cpu_cps. So a replay is its scenario and its prices (``Rounds``),
+which the trace writer and the audit read without building a round; any
+other trace, hand built or forged, they read message by message.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -25,14 +22,12 @@ message: the trace shows the reports it was decided from.
 
 Rounds are synchronous and lossless: every report arrives before the next
 broadcast. The trace serializes to one message per line for golden-file
-comparisons; ``write_trace`` streams those lines to the file, formatting a
-round's changed report values with ``text.format_rows``.
+comparisons; ``write_trace`` streams those lines to the file.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,9 +98,11 @@ class BargainRound:
 
 
 class Rounds(Sequence):
-    """A replay's rounds, kept as its scenario and one broadcast per visited
-    price. Each read builds a round, and none is kept. It compares, hashes
-    and slices as the tuple of its rounds, and a slice is that tuple."""
+    """A replay's rounds, kept as its scenario and one broadcast per price
+    the walk visited, from the highest threshold down. Each read builds a
+    round, and none is kept; a slice is the tuple of its rounds. It equals
+    another ``Rounds`` with the same broadcasts and scenario, and hashes as
+    its broadcasts."""
 
     def __init__(self, scenario: Scenario, prices: Sequence[float]) -> None:
         self.scenario = scenario
@@ -126,18 +123,13 @@ class Rounds(Sequence):
         return rnd
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Rounds, tuple)):
+        if not isinstance(other, Rounds):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return (self.broadcasts == other.broadcasts
+                and self.scenario == other.scenario)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other: tuple) -> tuple:
-        return tuple(self) + other
-
-    def __radd__(self, other: tuple) -> tuple:
-        return other + tuple(self)
+        return hash(self.broadcasts)
 
 
 @dataclass(frozen=True)
@@ -175,43 +167,23 @@ def run_bargaining(scenario: Scenario) -> BargainTrace:
 
 class _Audit:
     """``information_audit``'s walk: the state of the open round and the
-    problems found, fed one message or one round's reports at a time."""
+    problems found, fed one message at a time."""
 
-    def __init__(self, trace: BargainTrace) -> None:
-        self.rounds = len(trace.rounds)
-        self.per_round = len(trace.rounds[0].reports) if trace.rounds else 0
+    def __init__(self, rounds: int, per_round: int) -> None:
+        self.rounds, self.per_round = rounds, per_round   # the first round's
         self.found: list[str] = []
         self.pos = 0              # position of the next message in messages()
         self.broadcasts = 0       # broadcasts seen so far
         self.current_round: int | None = None
-        # the open round's count and its indices: range(bulk), and seen
-        self.reports, self.bulk, self.seen = 0, 0, set()
-
-    def flag(self, pos: int, kind: str, round_: int, problem: str) -> None:
-        self.found.append(f"message {pos} ({kind}, round {round_}): {problem}")
-
-    def round_reports(self, reports: Sequence[Message]) -> None:
-        """Count a ``Reports`` column in bulk when no report rule can flag
-        it: the open round's first reports, no more than the first round's,
-        all finite and nonnegative; its payloads and senders are the
-        replay's own. Other reports go through ``message`` one by one."""
-        if (isinstance(reports, Reports) and not self.seen and not self.bulk
-                and reports.round_index == self.current_round
-                and len(reports) <= self.per_round
-                and ((reports.bits >= 0.0) & (reports.bits < math.inf)).all()):
-            self.pos += len(reports)
-            self.reports += len(reports)
-            self.bulk = len(reports)
-        else:
-            for msg in reports:
-                self.message(msg)
+        self.reports, self.seen = 0, set()   # the open round's, and its indices
 
     def message(self, msg: Message) -> None:
         pos = self.pos
         self.pos += 1
 
         def flag(problem: str) -> None:
-            self.flag(pos, msg.kind, msg.round, problem)
+            self.found.append(f"message {pos} ({msg.kind}, round {msg.round}): "
+                              f"{problem}")
 
         users = self.per_round
         if msg.kind == OFFLOAD_REPORT:
@@ -233,7 +205,7 @@ class _Audit:
                      f"is {self.current_round}")
             if user >= users:
                 flag(f"user index {user} outside the first round's {users} users")
-            elif 0 <= user < self.bulk or user in self.seen:
+            elif user in self.seen:
                 flag(f"second report from user {user} in this round")
             self.seen.add(user)
             return
@@ -241,7 +213,7 @@ class _Audit:
             if self.current_round is not None and self.reports != users:
                 flag(f"round {self.current_round} held {self.reports} reports, "
                      f"the first round {users}")
-            self.current_round, self.reports, self.bulk, self.seen = None, 0, 0, set()
+            self.current_round, self.reports, self.seen = None, 0, set()
         if msg.kind == PRICE_BROADCAST:
             if msg.sender != CLOUD:
                 flag(f"broadcast from non-cloud sender {msg.sender!r}")
@@ -277,14 +249,25 @@ def information_audit(trace: BargainTrace) -> list[str]:
     rounds.
 
     Each message is labelled with its position in ``trace.messages()``. A
-    ``Reports`` column that no rule can flag is counted in bulk; every other
-    report is checked message by message, so each rule is stated once.
+    replay's reports are (i, 0.0) or (i, balance_bits[i]) from ``user_i``,
+    which no rule flags while every balance is finite and nonnegative: then
+    they are counted in bulk. Every other report is checked message by
+    message, so each rule is stated once.
     """
-    audit = _Audit(trace)
-    for rnd in trace.rounds:
-        audit.message(rnd.broadcast)
-        audit.round_reports(rnd.reports)
-    audit.message(trace.terminate)
+    rounds = trace.rounds
+    if isinstance(rounds, Rounds):
+        bits = rounds.scenario.columns.balance_bits
+        audit = _Audit(len(rounds), len(bits))
+        if ((bits >= 0.0) & (bits < math.inf)).all():
+            for broadcast in rounds.broadcasts:   # and its reports, all clean
+                audit.message(broadcast)
+                audit.pos, audit.reports = audit.pos + len(bits), len(bits)
+            audit.message(trace.terminate)
+            return audit.found
+    else:
+        audit = _Audit(len(rounds), len(rounds[0].reports) if rounds else 0)
+    for msg in trace.messages():
+        audit.message(msg)
     return audit.found
 
 
@@ -301,39 +284,25 @@ def _message_line(msg: Message) -> str:
 
 def _trace_lines(trace: BargainTrace) -> Iterator[str]:
     """The trace text, one line per message: round, kind, sender, payload
-    fields. A hand-built round comes message by message, a ``Reports`` round
-    as its round number and its report lines joined by it. Per user a memo
-    keeps the head up to ``bits=`` and the line, rebuilt when the bits change
-    bit for bit: +0.0 as ``0``, other values by ``text.format_rows``."""
-    heads: list[str] = []   # user i's head
-    tails: list[str] = []   # and its line, which a round joins as it is
-    shown = np.empty(0, dtype=np.int64)   # the previous column's bit patterns
-    for rnd in trace.rounds:
-        yield _message_line(rnd.broadcast)
-        reports = rnd.reports
-        if not isinstance(reports, Reports):
-            yield from map(_message_line, reports)
-            continue
-        pattern = reports.bits.view(np.int64)
-        n, m = len(pattern), min(len(pattern), len(shown))
-        if n > len(heads):   # new users, whose lines are all rebuilt below
-            new = [f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits="
-                   for i in range(len(heads), n)]
-            heads += new
-            tails += new
-        changed = np.concatenate((np.flatnonzero(pattern[:m] != shown[:m]),
-                                  np.arange(m, n)))
-        shown = pattern
-        nonzero = pattern[changed] != 0   # formatted; +0.0 is the constant
-        lines: list[str] = []   # split a block at a time: one batch's text
-        for block in format_rows(EXACT + "\n", [reports.bits[changed[nonzero]]]):
-            lines += block.splitlines(True)
-        values = iter(lines)
-        for i, formatted in zip(changed.tolist(), nonzero.tolist()):
-            tails[i] = heads[i] + (next(values) if formatted else "0\n")
-        if n:
-            r = f"{reports.round_index}"
-            yield from (r, r.join(tails if n == len(tails) else tails[:n]))
+    fields. A replay keeps each user's line after the round number, first
+    with ``bits=0``; a broadcast rewrites the lines of the users whose
+    threshold is its price, their balances formatted by ``text.format_rows``,
+    and its round joins them all. Any other trace comes message by message."""
+    rounds = trace.rounds
+    if not isinstance(rounds, Rounds):
+        yield from map(_message_line, trace.messages())
+        return
+    c = rounds.scenario.columns
+    lines = [f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits=0\n"
+             for i in range(len(c.threshold))]
+    for broadcast in rounds.broadcasts:
+        yield _message_line(broadcast)
+        joining = np.flatnonzero(c.threshold == broadcast.payload)
+        values = "".join(format_rows(EXACT + "\n", [c.balance_bits[joining]]))
+        for i, value in zip(joining.tolist(), values.splitlines(True)):
+            lines[i] = lines[i][:-2] + value   # "0\n" becomes the balance
+        r = f"{broadcast.round}"
+        yield from (r, r.join(lines))
     yield _message_line(trace.terminate)
 
 

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgeprice
 from edgeprice.bench import SOLVERS
 from edgeprice.cli import main
 from edgeprice.scenario import ScenarioConfig, sample_scenario
@@ -172,6 +176,31 @@ def test_trace_stdout_and_file(tmp_path, capsys):
     assert main(["trace", "--config", str(cfg), "--out", str(log)]) == 0
     capsys.readouterr()
     assert log.read_text() == streamed
+
+
+@pytest.mark.parametrize("command", ["trace", "run"])
+def test_reader_closing_the_pipe_early_is_no_error(tmp_path, capsys, command):
+    # ``edgeprice ... | head -1``: the reader takes one line and closes the
+    # pipe while far more output than the pipe holds is still to come, so a
+    # write fails with EPIPE. That exits 1, quietly, not 2 for bad input
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("num_users = 3000\ncapacity_cycles = 6e11\n")
+    src = str(Path(edgeprice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "edgeprice.cli", command, "--config", str(cfg)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert first.startswith(b"0\tPriceBroadcast" if command == "trace"
+                            else b"scheme=uniform")
+    # the whole output is far more than a pipe holds (64 KiB on Linux)
+    assert main([command, "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out) > 1 << 18
 
 
 def test_verify_subcommand(capsys):

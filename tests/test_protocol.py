@@ -449,8 +449,8 @@ def test_replay_readers_evaluate_no_outcome(monkeypatch, tmp_path):
 
 def test_replayed_rounds_equal_their_built_copies():
     # a round read from a replay is a BargainRound as the constructor builds
-    # one: it compares, hashes and prints as its copy, and the rounds and
-    # the trace compare, hash and concatenate as the tuple of those copies
+    # one: it compares, hashes and prints as its copy. The rounds themselves
+    # are a replay's scenario and prices, which no tuple of rounds equals
     scenario = sample_scenario(ScenarioConfig(
         num_users=40, seed=11, capacity_cycles=40 * 2e8,
         local_cpu_step_cps=1e6))
@@ -465,13 +465,7 @@ def test_replayed_rounds_equal_their_built_copies():
         assert repr(rnd) == repr(copy)
         assert replace(rnd, outcome=trace.final) == \
             replace(copy, outcome=trace.final)
-    assert trace.rounds == built and built == trace.rounds
-    assert hash(trace.rounds) == hash(built)
-    assert trace.rounds != built[:-1] and built[1:] != trace.rounds[:-1]
-    rebuilt = BargainTrace(rounds=built, final=trace.final)
-    assert trace == rebuilt and rebuilt == trace
-    assert trace.rounds + built[:1] == built + built[:1]
-    assert built[:1] + trace.rounds == built[:1] + built
+    assert trace.rounds != built
 
 
 def _golden_trace() -> BargainTrace:
@@ -785,11 +779,16 @@ def test_audit_flags_a_broadcast_the_writer_shows_whole():
 
 
 def test_replay_equality_builds_no_records():
-    # two replays compare round by round as columns: neither side builds
-    # its decision records or its report messages
+    # two replays compare by their broadcasts and scenarios, and their
+    # rounds hash by the broadcasts: neither side builds its decision
+    # records or its report messages. The same users in reverse order are
+    # another scenario whose walk visits the same prices, so its replay has
+    # the same broadcasts and still differs
     scenario = sample_scenario(ScenarioConfig(num_users=500, seed=11,
                                               capacity_cycles=500 * 2e8))
     a, b = run_bargaining(scenario), run_bargaining(scenario)
+    flipped = run_bargaining(Scenario(system=scenario.system,
+                                      users=scenario.users[::-1]))
     built = {OffloadDecision.__init__.__code__: 0, Message.__init__.__code__: 0}
 
     def profile(frame, event, arg):
@@ -799,11 +798,38 @@ def test_replay_equality_builds_no_records():
     sys.setprofile(profile)
     try:
         equal = a == b
+        hashed = hash(a.rounds) == hash(b.rounds)
         moved = a.rounds[1].reports == b.rounds[0].reports
+        other = a.rounds == flipped.rounds or flipped.rounds == a.rounds
     finally:
         sys.setprofile(None)
-    assert len(a.rounds) > 1 and equal and not moved
+    assert len(a.rounds) > 1 and equal and hashed and not moved
+    assert flipped.rounds.broadcasts == a.rounds.broadcasts and not other
     assert list(built.values()) == [0, 0]
+    assert hash(a) == hash(b) and a != flipped
+
+
+def test_replay_readers_build_no_round(monkeypatch, tmp_path):
+    # the writer and the audit read a replay from its broadcasts and its
+    # scenario's columns alone: not one round is built, the first included
+    scenario = sample_scenario(ScenarioConfig(
+        num_users=200, seed=11, capacity_cycles=200 * 2e8,
+        local_cpu_step_cps=1e6))
+    trace = run_bargaining(scenario)
+    expected = format_trace(_as_tuples(trace))
+
+    def refuse(self, index):
+        raise AssertionError("a reader built a round")
+
+    monkeypatch.setattr(protocol.Rounds, "__getitem__", refuse)
+    path = tmp_path / "bargain.log"
+    write_trace(trace, str(path))
+    assert format_trace(trace) == expected
+    assert path.read_bytes().decode("utf-8") == expected
+    assert information_audit(trace) == []
+    assert len(trace.rounds) > 10
+    with pytest.raises(AssertionError, match="built a round"):
+        list(trace.messages())
 
 
 def _decisions(bits, payment) -> Decisions:
