@@ -10,7 +10,8 @@ solver exactly. The walk is a descending clock: a user's report changes once,
 from 0 to its balance offload size, in the round whose price is its threshold
 1/local_cpu_cps. So a replay is its scenario and its prices (``Rounds``),
 which the trace writer and the audit read without building a round; any
-other trace, hand built or forged, they read message by message.
+other trace, hand built or forged, they read message by message. A round
+read from a replay is built whole: ``evaluate_price`` at its price.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -38,7 +39,7 @@ import numpy as np
 
 from .scenario import LazyTuple, Scenario
 from .text import EXACT, format_rows
-from .uniform import PriceOutcome, _priced_outcome, _responses, _tier_pass
+from .uniform import PriceOutcome, _tier_pass, evaluate_price
 
 PRICE_BROADCAST = "PriceBroadcast"
 OFFLOAD_REPORT = "OffloadReport"
@@ -85,24 +86,15 @@ class BargainRound:
     reports: Sequence[Message]   # Reports, or a tuple for a hand-built round
     outcome: PriceOutcome   # induced by the broadcast price, ties offloading
 
-    def __getattr__(self, name: str) -> PriceOutcome:
-        """A round ``Rounds`` built computes its outcome on the first read:
-        ``evaluate_price`` at its price, over its reports' own column."""
-        lazy = vars(self).get("_lazy")   # (scenario, _responses at the price)
-        if name != "outcome" or lazy is None:
-            raise AttributeError(name)
-        price = self.broadcast.payload
-        vars(self)[name] = _priced_outcome(lazy[0], (price,) * len(self.reports),
-                                           price, lazy[1])
-        return vars(self)[name]
-
 
 class Rounds(Sequence):
     """A replay's rounds, kept as its scenario and one broadcast per price
     the walk visited, from the highest threshold down. Each read builds a
-    round, and none is kept; a slice is the tuple of its rounds. It equals
-    another ``Rounds`` with the same broadcasts and scenario, and hashes as
-    its broadcasts."""
+    round, its outcome ``evaluate_price`` at its price and its reports that
+    outcome's offload sizes, and none is kept; a price ``evaluate_price``
+    refuses raises ``ValueError`` on the read. A slice is the tuple of its
+    rounds. It equals another ``Rounds`` with the same broadcasts and
+    scenario, and hashes as its broadcasts."""
 
     def __init__(self, scenario: Scenario, prices: Sequence[float]) -> None:
         self.scenario = scenario
@@ -116,11 +108,9 @@ class Rounds(Sequence):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
         broadcast = self.broadcasts[index]
-        answers = _responses(self.scenario.columns, broadcast.payload)
-        rnd = BargainRound.__new__(BargainRound)
-        vars(rnd).update(broadcast=broadcast, _lazy=(self.scenario, answers),
-                         reports=Reports(broadcast.round, answers[1]))
-        return rnd
+        outcome = evaluate_price(self.scenario, broadcast.payload)
+        return BargainRound(broadcast, Reports(
+            broadcast.round, outcome.decisions.offloaded_bits), outcome)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rounds):

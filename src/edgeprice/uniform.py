@@ -26,11 +26,11 @@ user, and rounded once they equal math.fsum; ``_exact_units``, one float as
 an integer, is their oracle. One function, ``_priced_outcome``, turns prices
 into every ``PriceOutcome``: it computes each user's best response from
 ``Scenario.columns`` with the operations of ``follower.best_response`` (so
-bit-identical to it) and totals load and revenue with those sums; its
-offload-size column, which a bargaining round reports, is ``_responses``.
+bit-identical to it) and totals load and revenue with those sums.
 ``evaluate_prices`` (per-user scheme), ``evaluate_price`` and ``ration_tie``
-end in it; ``ration_tie`` admits from the columns and keeps a declined user
-local by pricing it at ``NO_OFFLOAD_PRICE``.
+end in it, and no other module calls it: a bargaining round is
+``evaluate_price`` at its price. ``ration_tie`` admits from the columns and
+keeps a declined user local by pricing it at ``NO_OFFLOAD_PRICE``.
 
 An outcome keeps its decisions as those columns (``Decisions``). Only the
 oracles and the tests read them as ``OffloadDecision`` records.
@@ -47,7 +47,6 @@ from numbers import Real
 import numpy as np
 
 from .follower import OffloadDecision
-from .kinetics import UserColumns
 from .scenario import LazyTuple, Scenario
 
 # Distinguished "nobody offloads" price, strictly above every 1/local_cpu_cps.
@@ -135,27 +134,17 @@ def candidate_prices(scenario: Scenario) -> list[float]:
     return np.unique(scenario.columns.threshold).tolist()
 
 
-def _responses(c: UserColumns, paid_at: float | np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's answer to ``paid_at``: whether it offloads (ties offload)
-    and its offload size in bits, 0 when it keeps its data local."""
-    offload = paid_at <= c.threshold
-    return offload, np.where(offload, c.balance_bits, 0.0)
-
-
 def _priced_outcome(scenario: Scenario, prices: Sequence[float],
-                    paid_at: float | np.ndarray,
-                    responses: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> PriceOutcome:
+                    paid_at: float | np.ndarray) -> PriceOutcome:
     """The outcome of posting ``prices`` when every user answers ``paid_at``
     (one shared price or one per user): each user's best response, computed
     at once from ``Scenario.columns``, and the seller view of them (load,
-    feasibility, and the revenue, 0 when infeasible). ``responses``, when
-    given, is ``_responses`` at ``paid_at``, already computed."""
+    feasibility, and the revenue, 0 when infeasible)."""
     if not np.greater_equal(paid_at, 0.0).all():  # NaN fails too
         raise ValueError(f"price must be >= 0 (got {np.min(paid_at)})")
     c = scenario.columns
-    offload, bits = responses or _responses(c, paid_at)
+    offload = paid_at <= c.threshold   # ties offload
+    bits = np.where(offload, c.balance_bits, 0.0)
     # a user who keeps its data local pays 0, so NO_OFFLOAD_PRICE (inf)
     # never multiplies a load
     paid = np.where(offload, paid_at, 0.0)

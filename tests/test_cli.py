@@ -188,13 +188,14 @@ def test_reader_closing_the_pipe_early_is_no_error(tmp_path, capsys, command):
     src = str(Path(edgeprice.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "edgeprice.cli", command, "--config", str(cfg)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "edgeprice.cli", command, "--config",
+             str(cfg)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""
     assert first.startswith(b"0\tPriceBroadcast" if command == "trace"
                             else b"scheme=uniform")

@@ -320,8 +320,8 @@ def test_audit_flags_a_round_short_of_reports(two_user_scenario):
         "round 2"]
 
 
-def _after_a_bulk_round(trace: BargainTrace, reports) -> BargainTrace:
-    """Round 0's column counted in bulk, then a broadcast of unknown kind,
+def _into_an_open_round(trace: BargainTrace, reports) -> BargainTrace:
+    """Round 0 as a ``Reports`` column, then a broadcast of unknown kind,
     which leaves round 0 open, and ``reports`` labelled round 0."""
     first, second = trace.rounds[:2]
     assert isinstance(first.reports, Reports)
@@ -347,10 +347,10 @@ _GOSSIP = "message 3 (Gossip, round 1): unknown message kind 'Gossip'"
         "message 4 (OffloadReport, round 0): sender 'user_1' does not match "
         "reported index -1"]),
 ])
-def test_audit_checks_reports_after_a_bulk_round(two_user_scenario, label,
+def test_audit_checks_reports_into_an_open_round(two_user_scenario, label,
                                                  expected):
-    # a report of a user counted in bulk is a second report, however it
-    # comes; a negative index is no user counted in bulk
+    # a report of a user who already reported in the open round is a second
+    # report, however it comes; a negative index is no such user
     trace = run_bargaining(two_user_scenario)
     assert len(trace.rounds) == 2
     round0 = trace.rounds[0].reports
@@ -359,7 +359,7 @@ def test_audit_checks_reports_after_a_bulk_round(two_user_scenario, label,
         "a second column": Reports(0, round0.bits),
         "a negative index": (replace(round0[1], payload=(-1, 0.0)),),
     }[label]
-    forged = _after_a_bulk_round(trace, reports)
+    forged = _into_an_open_round(trace, reports)
     found = [_GOSSIP, *expected,
              f"message {4 + len(reports)} (Terminate, round 2): round 0 held "
              f"{2 + len(reports)} reports, the first round 2"]
@@ -426,13 +426,12 @@ def test_replay_readers_evaluate_no_outcome(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("a reader evaluated a round's outcome")
 
-    for module in (uniform, protocol):
-        monkeypatch.setattr(module, "_priced_outcome", refuse)
+    monkeypatch.setattr(uniform, "_priced_outcome", refuse)
     text = format_trace(trace)
     path = tmp_path / "bargain.log"
     write_trace(trace, str(path))
     assert information_audit(trace) == []
-    messages = sum(1 + len(r.reports) for r in trace.rounds) + 1
+    messages = len(trace.rounds) * (1 + len(scenario.users)) + 1
     assert len(trace.rounds) > 10 and len(text.splitlines()) == messages
     assert path.read_bytes().decode("utf-8") == text
     with pytest.raises(AssertionError, match="evaluated"):
@@ -720,6 +719,28 @@ def test_column_path_writes_and_audits_as_messages(trace):
     reference = _as_tuples(trace)
     assert format_trace(trace) == format_trace(reference)
     assert information_audit(trace) == information_audit(reference) == []
+
+
+def test_replay_over_forged_balances_audits_message_by_message():
+    # balances no report may carry, written into the read-only column after
+    # the replay: the audit can no longer count the replay's reports in
+    # bulk, and reads it message by message, its rounds built from the
+    # column; the writer still reads the column and shows what they report
+    scenario = sample_scenario(ScenarioConfig(
+        num_users=40, seed=11, capacity_cycles=40 * 2e8,
+        local_cpu_step_cps=1e6))
+    trace = run_bargaining(scenario)
+    bits = scenario.columns.balance_bits
+    offloaders = np.flatnonzero(
+        scenario.columns.threshold >= trace.rounds.broadcasts[-1].payload)
+    assert len(trace.rounds) > 2 and len(offloaders) >= 3
+    bits.flags.writeable = True
+    bits[offloaders[:3]] = math.nan, -2.0, math.inf
+    reference = _as_tuples(trace)
+    found = information_audit(trace)
+    assert found and all("finite and nonnegative" in f for f in found)
+    assert found == information_audit(reference)
+    assert format_trace(trace) == format_trace(reference)
 
 
 FORGED_BITS = st.sampled_from((math.nan, -math.nan, math.inf, -math.inf,

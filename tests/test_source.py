@@ -40,6 +40,18 @@ def test_scalar_best_response_stays_off_the_solvers():
     assert found == []
 
 
+def test_outcomes_are_priced_only_in_uniform():
+    # uniform._priced_outcome computes every outcome at a price; the other
+    # modules reach it through evaluate_price(s), ration_tie or a solver, so
+    # none imports, calls or names it
+    found = [f"{path}:{node.lineno}" for path, node in _nodes()
+             if "_priced_outcome" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None),
+                                      getattr(node, "name", None))
+             and path.name != "uniform.py"]
+    assert found == []
+
+
 PRICING_PATH = ("uniform.py", "differentiated.py", "protocol.py", "bench.py",
                 "cli.py")
 DECISION_READERS = ("cli.py", "bench.py", "protocol.py")
