@@ -11,18 +11,20 @@ Seeding: a trial at sweep point i with trial index j uses
 base_seed + i * 10**6 + j, except capacity sweeps, which drop the point term
 so the same user populations recur at every capacity (capacity never enters
 sampling, and pairing makes the all-local baseline exactly constant across
-points). A spec is rejected up front when two trials would share a seed
-(repeated sweep values, more than 10**6 trials per point of a user sweep) or
-when its last trial seed does not fit in 64 bits.
+points). A ``SweepSpec`` refuses itself when it is built, as its base
+config does, if two trials would share a seed (repeated sweep values, more
+than 10**6 trials per point of a user sweep) or its last trial seed does
+not fit in 64 bits; the sweep takes it on trust.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 from .differentiated import solve_differentiated
-from .scenario import (Scenario, ScenarioConfig, config_from_mapping,
+from .scenario import (Scenario, ScenarioConfig, _is_real, config_from_mapping,
                        parse_number, read_key_values, sample_scenario)
 from .text import EXACT
 from .uniform import NO_OFFLOAD_PRICE, evaluate_price, solve_uniform
@@ -54,12 +56,38 @@ class TrialResult:
     revenue_s: float
 
 
+def _validate_spec(spec: SweepSpec) -> None:
+    if spec.sweep_param not in SWEEP_PARAMS:
+        raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}, "
+                         f"got {spec.sweep_param!r}")
+    if not spec.sweep_values:
+        raise ValueError("sweep_values must be nonempty")
+    for v in spec.sweep_values:
+        if not (_is_real(v) and math.isfinite(v) and v > 0):
+            raise ValueError(f"sweep value must be finite and > 0 (got {v!r})")
+        if spec.sweep_param == SWEEP_NUM_USERS and v != int(v):
+            raise ValueError(f"num_users sweep values must be integral (got {v})")
+    if len(set(spec.sweep_values)) != len(spec.sweep_values):
+        raise ValueError(f"sweep_values must be distinct (got {spec.sweep_values})")
+    if not (isinstance(spec.trials, Integral) and spec.trials >= 1):
+        raise ValueError(f"trials must be >= 1 (got {spec.trials!r})")
+    if spec.sweep_param == SWEEP_NUM_USERS and spec.trials > _POINT_STRIDE:
+        raise ValueError(f"trials must be <= {_POINT_STRIDE} in num_users sweeps, "
+                         f"or seeds of adjacent points collide (got {spec.trials})")
+    last = trial_seed(spec, len(spec.sweep_values) - 1, spec.trials - 1)
+    if last >= 2**64:
+        raise ValueError(f"seed {spec.base.seed} is too large: the last trial seed "
+                         f"{last} is not an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     sweep_param: str
     sweep_values: tuple[float, ...]
     trials: int
     base: ScenarioConfig
+
+    __post_init__ = _validate_spec   # checked once, when built
 
 
 def local_only_latency(scenario: Scenario) -> float:
@@ -79,30 +107,6 @@ def run_trial(scenario: Scenario, scheme: str, sweep_param: str = "none",
                        avg_latency_s=latency, revenue_s=outcome.revenue_s)
 
 
-def _validate_spec(spec: SweepSpec) -> None:
-    if spec.sweep_param not in SWEEP_PARAMS:
-        raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}, "
-                         f"got {spec.sweep_param!r}")
-    if not spec.sweep_values:
-        raise ValueError("sweep_values must be nonempty")
-    for v in spec.sweep_values:
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"sweep value must be finite and > 0 (got {v})")
-        if spec.sweep_param == SWEEP_NUM_USERS and v != int(v):
-            raise ValueError(f"num_users sweep values must be integral (got {v})")
-    if len(set(spec.sweep_values)) != len(spec.sweep_values):
-        raise ValueError(f"sweep_values must be distinct (got {spec.sweep_values})")
-    if spec.trials < 1:
-        raise ValueError(f"trials must be >= 1 (got {spec.trials})")
-    if spec.sweep_param == SWEEP_NUM_USERS and spec.trials > _POINT_STRIDE:
-        raise ValueError(f"trials must be <= {_POINT_STRIDE} in num_users sweeps, "
-                         f"or seeds of adjacent points collide (got {spec.trials})")
-    last = trial_seed(spec, len(spec.sweep_values) - 1, spec.trials - 1)
-    if last >= 2**64:
-        raise ValueError(f"seed {spec.base.seed} is too large: the last trial seed "
-                         f"{last} is not an unsigned 64-bit integer")
-
-
 def trial_seed(spec: SweepSpec, point_index: int, trial_index: int) -> int:
     if spec.sweep_param == SWEEP_CAPACITY:
         return spec.base.seed + trial_index
@@ -111,7 +115,6 @@ def trial_seed(spec: SweepSpec, point_index: int, trial_index: int) -> int:
 
 def run_sweep(spec: SweepSpec) -> list[TrialResult]:
     """All (point, trial, scheme) results, deterministic in (spec, base seed)."""
-    _validate_spec(spec)
     results: list[TrialResult] = []
     for i, value in enumerate(spec.sweep_values):
         if spec.sweep_param == SWEEP_CAPACITY:
@@ -180,10 +183,8 @@ def load_sweep_spec(path: str) -> SweepSpec:
         unknown = base_keys.keys() - known
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        spec = SweepSpec(sweep_param=mapping["sweep_param"], sweep_values=values,
+        return SweepSpec(sweep_param=mapping["sweep_param"], sweep_values=values,
                          trials=parse_number("trials", mapping["trials"], int),
                          base=config_from_mapping(base_keys))
-        _validate_spec(spec)
     except ValueError as exc:  # name the file; the message names the key
         raise ValueError(f"{path}: {exc}") from None
-    return spec

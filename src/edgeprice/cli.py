@@ -53,11 +53,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_sweep_spec(args.config)
-    if args.seed is not None:
-        spec = replace(spec, base=replace(spec.base, seed=args.seed))
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
+    spec = load_sweep_spec(args.config)   # one replace: one check of the result
+    base = spec.base if args.seed is None else replace(spec.base, seed=args.seed)
+    trials = spec.trials if args.trials is None else args.trials
+    spec = replace(spec, base=base, trials=trials)
     results = run_sweep(spec)
     write_csv(results, args.out)
     print(f"wrote {len(results)} rows to {args.out}")

@@ -11,7 +11,9 @@ a depth-first branch and bound on Dantzig's LP bound (Martello & Toth,
 *Knapsack Problems*, 1990, ch. 2). Both are exact, and both count a
 selection as fitting when the correctly rounded sum of its weights is within
 the capacity, as ``evaluate_prices`` does. A search cut at ``NODE_BUDGET``
-nodes returns its best selection with a certified gap.
+nodes returns its best selection with a certified gap. A
+``KnapsackInstance`` checks itself when it is built; the solvers take it
+on trust.
 """
 
 from __future__ import annotations
@@ -25,12 +27,24 @@ from operator import or_
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import Scenario, _is_real
 from .uniform import (_EXACT_UNIT, NO_OFFLOAD_PRICE, PriceOutcome,
                       _exact_units, evaluate_prices)
 
 BRUTE_FORCE_MAX_ITEMS = 20
 NODE_BUDGET = 20_000   # branch-and-bound nodes; past it, return the best found
+
+
+def _validate_instance(inst: KnapsackInstance) -> None:
+    if len(inst.weights) != len(inst.values):
+        raise ValueError("weights and values must have equal length")
+    for name, xs in (("weight", inst.weights), ("value", inst.values)):
+        for i, x in enumerate(xs):
+            if not (_is_real(x) and math.isfinite(x) and x > 0):
+                raise ValueError(f"{name} {i} must be finite and > 0 (got {x!r})")
+    c = inst.capacity
+    if not (_is_real(c) and math.isfinite(c) and c >= 0):
+        raise ValueError(f"capacity must be finite and >= 0 (got {c!r})")
 
 
 @dataclass(frozen=True)
@@ -39,6 +53,8 @@ class KnapsackInstance:
     values: tuple[float, ...]    # seconds per item
     capacity: float              # cycles
 
+    __post_init__ = _validate_instance   # checked once, when built
+
 
 @dataclass(frozen=True)
 class KnapsackSolution:
@@ -46,17 +62,6 @@ class KnapsackSolution:
     total_weight: float
     total_value: float
     value_bound: float = 0.0     # certified cap on value below the optimum
-
-
-def _validate_instance(inst: KnapsackInstance) -> None:
-    if len(inst.weights) != len(inst.values):
-        raise ValueError("weights and values must have equal length")
-    for name, xs in (("weight", inst.weights), ("value", inst.values)):
-        for i, x in enumerate(xs):
-            if not (math.isfinite(x) and x > 0):
-                raise ValueError(f"{name} {i} must be finite and > 0 (got {x})")
-    if not (math.isfinite(inst.capacity) and inst.capacity >= 0):
-        raise ValueError(f"capacity must be finite and >= 0 (got {inst.capacity})")
 
 
 def build_knapsack(scenario: Scenario, kin_all: object = None) -> KnapsackInstance:
@@ -100,7 +105,6 @@ def solve_knapsack_branch_and_bound(inst: KnapsackInstance) -> KnapsackSolution:
     After ``NODE_BUDGET`` nodes the best selection found is returned, with
     ``value_bound`` the root LP bound minus its value; 0 proves it optimal.
     """
-    _validate_instance(inst)
     n = len(inst.weights)
     weights, w_shift = _integers(inst.weights)
     values, v_shift = _integers(inst.values)
@@ -149,24 +153,28 @@ def solve_knapsack_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     """Exact optimum by subset enumeration; ties pick the lexicographically
     smallest selection vector. Capped at 20 items.
 
-    A subset's float weight sum, added in index order, is within n/2
-    ulp(total) of the exact one, so outside a band of (n + 2) ulp around the
-    capacity the float test agrees with the correctly rounded sum. Of the
-    best subsets below the band's top, those inside it are settled by
-    ``math.fsum``; if none fits, the next best are tried.
+    A subset's weights, added in index order, sum within a relative
+    (n - 1) 2**-53 of the exact sum (all partial sums are positive). So an
+    exact sum at most the capacity adds up below capacity + (n - 1)
+    ulp(capacity), and one above it adds up above capacity - (n - 1)
+    ulp(capacity), however large the other subsets' sums: outside a band of
+    (n + 2) ulp(capacity) around the capacity the float test agrees with
+    the correctly rounded sum, and a sum that overflows to inf lies above
+    it. Of the best subsets below the band's top, those inside it are
+    settled by ``math.fsum``; if none fits, the next best are tried.
     """
-    _validate_instance(inst)
     n = len(inst.weights)
     if n > BRUTE_FORCE_MAX_ITEMS:
         raise ValueError(f"{n} items exceeds the 2^{BRUTE_FORCE_MAX_ITEMS} "
                          f"enumeration cap")
     wsum = np.zeros(1)
     vsum = np.zeros(1)
-    for w, v in zip(inst.weights, inst.values):
-        wsum = np.concatenate([wsum, wsum + w])
-        vsum = np.concatenate([vsum, vsum + v])
-    band = (n + 2) * math.ulp(max(float(wsum[-1]), inst.capacity))
-    scored = np.where(wsum <= inst.capacity + band, vsum, -1.0)
+    with np.errstate(over="ignore"):   # a sum past the largest float is inf
+        for w, v in zip(inst.weights, inst.values):
+            wsum = np.concatenate([wsum, wsum + w])
+            vsum = np.concatenate([vsum, vsum + v])
+    band = (n + 2) * math.ulp(inst.capacity)
+    scored = np.where(wsum - band <= inst.capacity, vsum, -1.0)   # inf too
     while True:
         # nothing nested may read wsum: as a closure cell it slows the
         # doubling loop above by about a third

@@ -11,7 +11,8 @@ from 0 to its balance offload size, in the round whose price is its threshold
 1/local_cpu_cps. So a replay is its scenario and its prices (``Rounds``),
 which the trace writer and the audit read without building a round; any
 other trace, hand built or forged, they read message by message. A round
-read from a replay is built whole: ``evaluate_price`` at its price.
+read from a replay is built whole: ``evaluate_price`` at its price, so a
+replay refuses, when it is built, any price ``evaluate_price`` refuses.
 
 When the last round's reported load overflows the capacity, the cloud serves
 the users tied at that price up to its budget (``uniform.ration_tie``). The
@@ -37,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .scenario import LazyTuple, Scenario
+from .scenario import LazyTuple, Scenario, _is_real
 from .text import EXACT, format_rows
 from .uniform import PriceOutcome, _tier_pass, evaluate_price
 
@@ -89,17 +90,21 @@ class BargainRound:
 
 class Rounds(Sequence):
     """A replay's rounds, kept as its scenario and one broadcast per price
-    the walk visited, from the highest threshold down. Each read builds a
-    round, its outcome ``evaluate_price`` at its price and its reports that
-    outcome's offload sizes, and none is kept; a price ``evaluate_price``
-    refuses raises ``ValueError`` on the read. A slice is the tuple of its
-    rounds. It equals another ``Rounds`` with the same broadcasts and
-    scenario, and hashes as its broadcasts."""
+    the walk visited, from the highest threshold down; a price
+    ``evaluate_price`` refuses fails the build, naming its round. Each read
+    builds a round, its outcome ``evaluate_price`` at its price and its
+    reports that outcome's offload sizes, and none is kept. A slice is the
+    tuple of its rounds. It equals another ``Rounds`` with the same
+    broadcasts and scenario, and hashes as its broadcasts."""
 
     def __init__(self, scenario: Scenario, prices: Sequence[float]) -> None:
         self.scenario = scenario
         self.broadcasts = tuple(map(Message, repeat(PRICE_BROADCAST), count(),
                                     repeat(CLOUD), prices))
+        for b in self.broadcasts:   # as evaluate_price refuses; NaN too
+            if not (_is_real(b.payload) and b.payload >= 0):
+                raise ValueError(f"round {b.round}: price must be >= 0 "
+                                 f"(got {b.payload!r})")
 
     def __len__(self) -> int:
         return len(self.broadcasts)

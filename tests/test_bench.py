@@ -132,6 +132,13 @@ def test_sweep_validation():
                                                       seed=2**64 - 2)))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_sweep_value_rule_pins_its_message(value):
+    message = f"sweep value must be finite and > 0 (got {value})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _spec(sweep_values=(2e9, value))
+
+
 def test_sweep_deterministic():
     assert run_sweep(_spec(trials=3)) == run_sweep(_spec(trials=3))
 

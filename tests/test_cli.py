@@ -231,6 +231,29 @@ def test_invalid_config_value_is_reported(tmp_path, capsys):
     assert "num_users" in capsys.readouterr().err
 
 
+def test_invalid_config_fails_at_load_naming_the_file(tmp_path, capsys):
+    # a config checks itself when it is built, so the loader's error names
+    # the file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("num_users = 0\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {cfg}: invalid scenario config: "
+                            f"num_users must be >= 1 (got 0)\n")
+
+
+def test_sweep_overrides_are_checked_together(tmp_path, capsys):
+    # --seed and --trials are applied as one change, so a seed that fits
+    # only with the new trial count is taken
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("trials = 2", "trials = 50"))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--seed", str(2**64 - 1), "--trials", "1"]) == 0
+    assert capsys.readouterr().out == f"wrote 6 rows to {out}\n"
+
+
 @pytest.mark.parametrize("line", [
     "gain_db_min = nan", "gain_db_min = -inf", "gain_db_max = inf",
     "data_kb_max = inf", "data_kb_max = nan", "cycles_per_bit_max = inf",

@@ -58,6 +58,19 @@ def test_bruteforce_matches_bb_on_hand_instances():
                 == solve_knapsack_branch_and_bound(inst).selected)
 
 
+@pytest.mark.parametrize("inst", [
+    KnapsackInstance((1e308, 1e308), (1.0, 2.0), 1.7e308),
+    KnapsackInstance((1e308, 1e308, 5e307), (1.0, 2.0, 0.5), 1.7e308),
+    KnapsackInstance((1e308, 7e307, 1e308), (1.0, 2.0, 1.5), 1.79e308),
+], ids=["pair", "triple", "pair_fits"])
+def test_solvers_agree_when_a_subset_sum_overflows(inst):
+    # the sum of all weights overflows to inf; the band around the capacity
+    # is set by the capacity alone, so no subset near it overflows
+    expected = solve_knapsack_branch_and_bound(inst)
+    assert solve_knapsack_bruteforce(inst) == expected
+    assert expected.total_weight <= inst.capacity
+
+
 def test_bruteforce_nothing_fits():
     inst = KnapsackInstance(weights=(5.0, 7.0), values=(1.0, 2.0), capacity=4.0)
     sol = solve_knapsack_bruteforce(inst)

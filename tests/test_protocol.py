@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import weakref
 from dataclasses import replace
@@ -15,7 +16,7 @@ from edgeprice import (Message, NO_OFFLOAD_PRICE, OffloadDecision, Scenario,
 from edgeprice import protocol, uniform
 from edgeprice.protocol import (BargainRound, BargainTrace, CLOUD,
                                 OFFLOAD_REPORT, PRICE_BROADCAST, TERMINATE,
-                                Reports, _fmt)
+                                Reports, Rounds, _fmt)
 from edgeprice.text import EXACT, SHOWN, format_rows
 from edgeprice.uniform import Decisions
 from edgeprice.verify import random_scenario_config
@@ -255,6 +256,36 @@ def _forged_broadcast(trace: BargainTrace, price) -> BargainTrace:
                              outcome=rnd.outcome)
     return BargainTrace(rounds=(forged_round,) + trace.rounds[1:],
                         final=trace.final)
+
+
+def test_audit_flags_a_broadcast_from_a_non_cloud_sender(two_user_scenario):
+    trace = run_bargaining(two_user_scenario)
+    rnd = trace.rounds[0]
+    forged_round = replace(rnd, broadcast=replace(rnd.broadcast, sender="user_0"))
+    forged = BargainTrace(rounds=(forged_round,) + trace.rounds[1:],
+                          final=trace.final)
+    assert information_audit(forged) == [
+        "message 0 (PriceBroadcast, round 0): broadcast from non-cloud "
+        "sender 'user_0'"]
+
+
+@pytest.mark.parametrize("prices, message", [
+    ([-1.0, 1e-9], "round 0: price must be >= 0 (got -1.0)"),
+    ([1e-8, math.nan], "round 1: price must be >= 0 (got nan)"),
+    ([1e-8, 1e-9, "1e-10"], "round 2: price must be >= 0 (got '1e-10')"),
+], ids=["negative", "nan", "text"])
+def test_replay_refuses_a_price_its_rounds_cannot_be_read_at(prices, message):
+    # evaluate_price would refuse the price when its round is read, so the
+    # replay refuses it when built and names the round: every replay that
+    # exists can be read, written and audited
+    scenario = balanced_two_user_scenario()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Rounds(scenario, prices)
+    # what the walk broadcasts is always taken, the sentinel price included,
+    # and the prices may come as any iterable
+    rounds = Rounds(scenario, iter([NO_OFFLOAD_PRICE, 0.0]))
+    assert [r.outcome for r in rounds] == [
+        evaluate_price(scenario, p) for p in (NO_OFFLOAD_PRICE, 0.0)]
 
 
 def test_audit_flags_infinite_price(two_user_scenario):

@@ -3,17 +3,18 @@ import re
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from edgeprice import (BITS_PER_KB, SCHEMES, Scenario, ScenarioConfig, UserProfile,
-                       dbm_to_watts, run_bargaining, run_trial, sample_scenario,
+from edgeprice import (BITS_PER_KB, SCHEMES, KnapsackInstance, Scenario,
+                       ScenarioConfig, SweepSpec, UserProfile, dbm_to_watts,
+                       run_bargaining, run_trial, sample_scenario,
                        scenario_kinetics, validate_scenario)
 from edgeprice.kinetics import user_columns
-from edgeprice.scenario import (UserProfiles, config_from_mapping, config_violations,
+from edgeprice.scenario import (UserProfiles, config_from_mapping,
                                 load_scenario_config)
 
 from conftest import make_profile, make_system
@@ -182,23 +183,18 @@ def test_validate_flags_user_count_mismatch():
 
 
 def test_invalid_config_bounds_rejected():
-    bad = ScenarioConfig(gain_db_min=-30.0, gain_db_max=-50.0)
-    assert config_violations(bad)
     with pytest.raises(ValueError, match="gain_db_min"):
-        sample_scenario(bad)
+        ScenarioConfig(gain_db_min=-30.0, gain_db_max=-50.0)
     with pytest.raises(ValueError, match="num_users"):
-        sample_scenario(ScenarioConfig(num_users=0))
+        ScenarioConfig(num_users=0)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)
                                   if f.name not in ("num_users", "seed")])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_config_field_rejected(name, value):
-    bad = ScenarioConfig(**{name: value})
-    assert any(v.startswith(f"{name} must be finite")
-               for v in config_violations(bad))
     with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
-        sample_scenario(bad)
+        ScenarioConfig(**{name: value})
 
 
 @pytest.mark.parametrize("overrides, name", [
@@ -212,11 +208,9 @@ def test_non_finite_config_field_rejected(name, value):
 ], ids=["gain_span", "cpu_max", "cpu_step", "gain_overflow", "gain_underflow",
         "noise_overflow", "data_overflow"])
 def test_config_bound_out_of_range_rejected(overrides, name):
-    bad = ScenarioConfig(**overrides)
-    assert any(name in v for v in config_violations(bad))
     with pytest.raises(ValueError, match=rf"invalid scenario config: .*"
                                          rf"{re.escape(name)}"):
-        sample_scenario(bad)
+        ScenarioConfig(**overrides)
 
 
 def _grid_speeds(lo, hi, step):
@@ -305,3 +299,105 @@ def test_config_file_bad_line(tmp_path):
     path.write_text("num_users 7\n")
     with pytest.raises(ValueError, match="key = value"):
         load_scenario_config(str(path))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScenarioConfig(bandwidth_hz=None),
+     "invalid scenario config: bandwidth_hz must be a real number (got None)"),
+    (lambda: ScenarioConfig(num_users="30"),
+     "invalid scenario config: num_users must be an integer (got '30')"),
+    (lambda: SweepSpec("capacity_cycles", ("x",), 1, ScenarioConfig()),
+     "sweep value must be finite and > 0 (got 'x')"),
+    (lambda: SweepSpec("capacity_cycles", (2e9,), "3", ScenarioConfig()),
+     "trials must be >= 1 (got '3')"),
+    (lambda: KnapsackInstance(("x",), (1.0,), 1.0),
+     "weight 0 must be finite and > 0 (got 'x')"),
+    (lambda: KnapsackInstance((1.0,), (1.0,), None),
+     "capacity must be finite and >= 0 (got None)"),
+    (lambda: Scenario(replace(make_system(1, 6e9), cloud_capacity_cycles="x"),
+                      (make_profile(),)),
+     "invalid scenario: system: cloud_capacity_cycles must be a real number "
+     "(got 'x')"),
+    (lambda: Scenario(replace(make_system(1, 6e9), num_users=None),
+                      (make_profile(),)),
+     "invalid scenario: system: num_users must be an integer (got None)"),
+    (lambda: Scenario(make_system(1, 6e9), users=(1,)),
+     "invalid scenario: user 0 must be a UserProfile (got 1)"),
+], ids=["config_float", "config_int", "sweep_value", "sweep_trials",
+        "knapsack_weight", "knapsack_capacity", "system_float", "system_int",
+        "user"])
+def test_a_field_that_is_no_number_is_refused_when_built(build, message):
+    # a record refuses a field that is no number as it refuses a bad number:
+    # ValueError naming the field, the value shown with repr
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_records_check_themselves_through_replace():
+    # the check runs in the constructor, so a changed copy is checked too
+    with pytest.raises(ValueError, match="num_users must be >= 1"):
+        replace(ScenarioConfig(), num_users=0)
+    spec = SweepSpec("capacity_cycles", (2e9,), 1, ScenarioConfig())
+    with pytest.raises(ValueError, match=r"trials must be >= 1 \(got 0\)"):
+        replace(spec, trials=0)
+    with pytest.raises(ValueError, match="seed must be an unsigned"):
+        replace(spec, base=replace(spec.base, seed=-1))
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        replace(KnapsackInstance((1.0,), (1.0,), 1.0), capacity=-1.0)
+    scenario = Scenario(make_system(1, 6e9), (make_profile(),))
+    with pytest.raises(ValueError, match="user-list length 1"):
+        replace(scenario, system=make_system(2, 6e9))
+
+
+def test_users_whose_total_load_overflows_are_refused():
+    # each load is finite (9.8e307 with two users), so every user field
+    # passes; their exact total does not round to a finite float, and every
+    # solver sums it
+    huge = make_profile(data_bits=1e300, cycles_per_bit=1e8, local_cpu_cps=1e9)
+    alone = Scenario(make_system(1, 6e9), (huge,))
+    assert sys.float_info.max / 2 < alone.columns.load_cycles[0] < math.inf
+    for scheme in SCHEMES:
+        run_trial(alone, scheme)
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid scenario: the users' total load_cycles must round to a "
+            "finite float")):
+        Scenario(make_system(2, 6e9), (huge, huge))
+    # a total near the largest float that still rounds to it is taken
+    large = replace(huge, data_bits=9e299)
+    pair = Scenario(make_system(2, 6e9), (large, large))
+    assert sys.float_info.max / 2 < math.fsum(pair.columns.load_cycles) < math.inf
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("bandwidth_hz", 0.0, "bandwidth_hz must be finite and > 0 (got 0.0)"),
+    ("bandwidth_hz", math.inf, "bandwidth_hz must be finite and > 0 (got inf)"),
+    ("noise_psd_w_per_hz", -1.0,
+     "noise_psd_w_per_hz must be finite and > 0 (got -1.0)"),
+    ("noise_psd_w_per_hz", math.nan,
+     "noise_psd_w_per_hz must be finite and > 0 (got nan)"),
+    ("cloud_speed_cps", 0.0, "cloud_speed_cps must be finite and > 0 (got 0.0)"),
+    ("cloud_speed_cps", math.inf,
+     "cloud_speed_cps must be finite and > 0 (got inf)"),
+    ("cloud_capacity_cycles", -1.0,
+     "cloud_capacity_cycles must be finite and >= 0 (got -1.0)"),
+    ("cloud_capacity_cycles", math.inf,
+     "cloud_capacity_cycles must be finite and >= 0 (got inf)"),
+    ("num_users", 0, "num_users must be >= 1 (got 0)"),
+    ("bandwidth_hz", 5e-324, "bandwidth_hz / num_users must be > 0 (got 0.0)"),
+], ids=["bandwidth_zero", "bandwidth_inf", "noise_negative", "noise_nan",
+        "cloud_speed_zero", "cloud_speed_inf", "capacity_negative",
+        "capacity_inf", "no_users", "bandwidth_share_underflow"])
+def test_system_rule_pins_its_message(field, value, message):
+    users = () if field == "num_users" else (make_profile(), make_profile())
+    system = replace(make_system(len(users), 6e9), **{field: value})
+    message = "invalid scenario: system: " + message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scenario(system, users)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_seed_range_pins_its_message(seed):
+    message = (f"invalid scenario config: seed must be an unsigned 64-bit "
+               f"integer (got {seed})")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(seed=seed)

@@ -159,3 +159,36 @@ def test_trace_float_format_is_written_once():
                       for path in sorted(PACKAGE_DIR.rglob("*.py")))
     assert sources.count("%.17g") == 1
     assert sources.count("%.9g") == 1
+
+
+# each input record and the one function that checks it
+RECORD_CHECKS = {"ScenarioConfig": "_check_config",
+                 "Scenario": "validate_scenario",
+                 "SweepSpec": "_validate_spec",
+                 "KnapsackInstance": "_validate_instance"}
+
+
+def _is_post_init(node: ast.AST) -> bool:
+    """A ``__post_init__`` method, or a ``__post_init__ = ...`` binding."""
+    return getattr(node, "name", None) == "__post_init__" or any(
+        getattr(target, "id", None) == "__post_init__"
+        for target in getattr(node, "targets", ()))
+
+
+def test_each_record_is_checked_only_when_built():
+    # a record checks itself once, when it is built (dataclasses.replace
+    # included), and every reader takes it on trust: each record's check is
+    # read only in that record's __post_init__
+    constructors, reads = {}, []
+    for path, node in _nodes():   # a class comes before the nodes inside it
+        if isinstance(node, ast.ClassDef) and node.name in RECORD_CHECKS:
+            constructors[RECORD_CHECKS[node.name]] = {
+                inner for item in node.body if _is_post_init(item)
+                for inner in ast.walk(item)}
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in RECORD_CHECKS.values() and isinstance(node.ctx, ast.Load):
+            reads.append((path, name, node))
+    assert {name for _, name, _ in reads} == set(RECORD_CHECKS.values())
+    found = [f"{path}:{node.lineno} {name}" for path, name, node in reads
+             if node not in constructors.get(name, ())]
+    assert found == []
