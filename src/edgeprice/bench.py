@@ -20,6 +20,7 @@ not fit in 64 bits; the sweep takes it on trust.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
 
@@ -60,6 +61,9 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.sweep_param not in SWEEP_PARAMS:
         raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}, "
                          f"got {spec.sweep_param!r}")
+    if not isinstance(spec.sweep_values, Sequence):
+        raise ValueError(f"sweep_values must be a sequence of numbers "
+                         f"(got {spec.sweep_values!r})")
     if not spec.sweep_values:
         raise ValueError("sweep_values must be nonempty")
     for v in spec.sweep_values:
@@ -71,6 +75,8 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValueError(f"sweep_values must be distinct (got {spec.sweep_values})")
     if not (isinstance(spec.trials, Integral) and spec.trials >= 1):
         raise ValueError(f"trials must be >= 1 (got {spec.trials!r})")
+    if not isinstance(spec.base, ScenarioConfig):
+        raise ValueError(f"base must be a ScenarioConfig (got {spec.base!r})")
     if spec.sweep_param == SWEEP_NUM_USERS and spec.trials > _POINT_STRIDE:
         raise ValueError(f"trials must be <= {_POINT_STRIDE} in num_users sweeps, "
                          f"or seeds of adjacent points collide (got {spec.trials})")

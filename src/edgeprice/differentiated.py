@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
@@ -36,6 +37,9 @@ NODE_BUDGET = 20_000   # branch-and-bound nodes; past it, return the best found
 
 
 def _validate_instance(inst: KnapsackInstance) -> None:
+    for name, xs in (("weights", inst.weights), ("values", inst.values)):
+        if not isinstance(xs, (Sequence, np.ndarray)):
+            raise ValueError(f"{name} must be a sequence of numbers (got {xs!r})")
     if len(inst.weights) != len(inst.values):
         raise ValueError("weights and values must have equal length")
     for name, xs in (("weight", inst.weights), ("value", inst.values)):

@@ -277,36 +277,76 @@ def _message_line(msg: Message) -> str:
     return head + ("-\n" if p is None else f"payload={p!r}\n")
 
 
-def _trace_lines(trace: BargainTrace) -> Iterator[str]:
+_REPORT = "%d\tuser=%d bits="   # a report line after its round, kind and "user_"
+
+
+def _text_lines(row: str, columns: Sequence[np.ndarray]) -> list[str]:
+    return "".join(format_rows(row, columns)).splitlines(True)
+
+
+def _trace_parts(trace: BargainTrace) -> Iterator[str | tuple[str, list[str]]]:
     """The trace text, one line per message: round, kind, sender, payload
-    fields. A replay keeps each user's line after the round number, first
-    with ``bits=0``; a broadcast rewrites the lines of the users whose
-    threshold is its price, their balances formatted by ``text.format_rows``,
-    and its round joins them all. Any other trace comes message by message."""
+    fields. A line comes as a str, and a replay round's report lines as
+    (head, lines), each line after ``head``: its round, kind and "user_".
+
+    A replay whose prices never rise keeps each user's line, first its
+    ``bits=0`` line; a user offloads from the first round priced at or below
+    its threshold on, so that round swaps in its balance's line. The
+    ``bits=0`` lines and the balance lines, in the order users join, are two
+    ``text.format_rows`` calls. Any other trace comes message by message."""
     rounds = trace.rounds
-    if not isinstance(rounds, Rounds):
+    prices = [b.payload for b in getattr(rounds, "broadcasts", ())]
+    if not (isinstance(rounds, Rounds) and all(type(p) is float for p in prices)
+            and prices == sorted(prices, reverse=True)):
         yield from map(_message_line, trace.messages())
         return
     c = rounds.scenario.columns
-    lines = [f"\t{OFFLOAD_REPORT}\tuser_{i}\tuser={i} bits=0\n"
-             for i in range(len(c.threshold))]
-    for broadcast in rounds.broadcasts:
+    # the round each user joins in, len(prices) for none; small unsigned
+    # ints, so the stable sort is a radix sort
+    first = np.searchsorted(-np.array(prices), -c.threshold)
+    first = first.astype(np.min_scalar_type(len(prices)))
+    order = np.argsort(first, kind="stable")
+    bounds = np.searchsorted(first[order], np.arange(len(prices) + 1)).tolist()
+    users, joining = np.arange(len(first)), order[:bounds[-1]]
+    lines = _text_lines(_REPORT + "0\n", [users, users])
+    joined = _text_lines(_REPORT + EXACT + "\n",
+                         [joining, joining, c.balance_bits[joining]])
+    who = joining.tolist()
+    for broadcast, start, stop in zip(rounds.broadcasts, bounds, bounds[1:]):
         yield _message_line(broadcast)
-        joining = np.flatnonzero(c.threshold == broadcast.payload)
-        values = "".join(format_rows(EXACT + "\n", [c.balance_bits[joining]]))
-        for i, value in zip(joining.tolist(), values.splitlines(True)):
-            lines[i] = lines[i][:-2] + value   # "0\n" becomes the balance
-        r = f"{broadcast.round}"
-        yield from (r, r.join(lines))
+        for i, line in zip(who[start:stop], joined[start:stop]):
+            lines[i] = line
+        yield f"{broadcast.round}\t{OFFLOAD_REPORT}\tuser_", lines
     yield _message_line(trace.terminate)
 
 
+def _trace_lines(trace: BargainTrace) -> Iterator[str]:
+    """The trace text a round at a time: a round's report lines are joined
+    by their head."""
+    for part in _trace_parts(trace):
+        if type(part) is str:
+            yield part
+        else:
+            head, lines = part
+            yield from (head, head.join(lines))
+
+
 def format_trace(trace: BargainTrace) -> str:
-    """One message per line: round, kind, sender, payload fields."""
-    return "".join(_trace_lines(trace))
+    """One message per line: round, kind, sender, payload fields. The whole
+    text is one join, with no round's text built on its own."""
+    pieces: list[str] = []
+    for part in _trace_parts(trace):
+        if type(part) is str:
+            pieces.append(part)
+        else:
+            head, lines = part
+            start = len(pieces)
+            pieces += [head] * (2 * len(lines))
+            pieces[start + 1::2] = lines
+    return "".join(pieces)
 
 
 def write_trace(trace: BargainTrace, path: str) -> None:
-    """``format_trace`` to ``path``, written line by line."""
+    """``format_trace`` to ``path``, written a round at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_trace_lines(trace))

@@ -13,6 +13,7 @@ import math
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -329,13 +330,15 @@ def sample_scenario(config: ScenarioConfig) -> Scenario:
         cloud_capacity_cycles=config.capacity_cycles,
         num_users=k,
     )
-    # the columns in UserProfile field order; the gains are mapped through
-    # the scalar db_to_linear, since numpy's power rounds differently
+    # the columns in UserProfile field order; each gain is db_to_linear's
+    # 10.0 ** (db / 10.0): numpy's division is the same IEEE division, but
+    # numpy's power rounds differently, so the power is float.__pow__
     constants = (config.output_ratio, config.uplink_power_w, config.downlink_power_w)
     users = UserProfiles(data_kb * BITS_PER_KB, cycles,
                          _local_cpu_speed(config, cpu_idx.astype(float)),
                          *(np.full(k, float(v)) for v in constants),
-                         np.fromiter(map(db_to_linear, gains_db.tolist()), float, k))
+                         np.fromiter(map(pow, repeat(10.0), (gains_db / 10.0).tolist()),
+                                     float, k))
     return Scenario(system=system, users=users)
 
 

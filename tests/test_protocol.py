@@ -288,6 +288,27 @@ def test_replay_refuses_a_price_its_rounds_cannot_be_read_at(prices, message):
         evaluate_price(scenario, p) for p in (NO_OFFLOAD_PRICE, 0.0)]
 
 
+@pytest.mark.parametrize("order", ["between", "rising", "repeated"])
+def test_a_replay_at_any_prices_is_written_as_its_messages(tmp_path, order):
+    # a replay's text is its messages' text whatever its prices: a price
+    # between two thresholds puts every user at or above it on its balance,
+    # and a rising price takes users back to bits=0
+    scenario = sample_scenario(ScenarioConfig(num_users=30, seed=2,
+                                              capacity_cycles=3e10))
+    walk = [b.payload for b in run_bargaining(scenario).rounds.broadcasts]
+    assert len(walk) > 2
+    prices = {"between": [NO_OFFLOAD_PRICE, (walk[1] + walk[2]) / 2, 0.0],
+              "rising": [walk[2], walk[0], walk[1]],
+              "repeated": [walk[0], walk[0], walk[2]]}[order]
+    trace = BargainTrace(Rounds(scenario, prices),
+                         run_bargaining(scenario).final)
+    expected = format_trace(_as_tuples(trace))
+    assert format_trace(trace) == expected
+    path = tmp_path / "replay.log"
+    write_trace(trace, str(path))
+    assert path.read_bytes().decode("utf-8") == expected
+
+
 def test_audit_flags_infinite_price(two_user_scenario):
     trace = run_bargaining(two_user_scenario)
     problems = information_audit(_forged_broadcast(trace, math.inf))
@@ -591,17 +612,19 @@ def test_trace_formats_each_changed_report_once(monkeypatch, num_users, step):
     # a report's line is rebuilt only when the user's bits change: every
     # report of the first round, then at most one change per user along the
     # walk. A rebuilt +0.0 is the constant 0; every other rebuilt value goes
-    # once through the one batch formatter, and each broadcast formats its
-    # price alone. Batches of 3 make a round's values span several batches,
-    # and the round keeps them all
+    # once through the one batch formatter, in two calls per trace: every
+    # user's bits=0 line, then the balance lines in the order users join.
+    # Each broadcast formats its price alone. Batches of 3 make a round's
+    # values span several batches, and the round keeps them all
     trace = run_bargaining(sample_scenario(ScenarioConfig(
         num_users=num_users, seed=11, capacity_cycles=num_users * 2e8,
         local_cpu_step_cps=step)))
-    batched, prices = [], []
+    batched, prices, calls = [], [], []
 
     def fmt_rows(row, columns):
-        (values,) = columns
-        batched.extend(values.tolist())
+        calls.append(len(columns))
+        if len(columns) == 3:   # user index twice, then the balance
+            batched.extend(columns[2].tolist())
         return format_rows(row, columns)
 
     def fmt(x):
@@ -623,6 +646,7 @@ def test_trace_formats_each_changed_report_once(monkeypatch, num_users, step):
     formatted = np.array(batched, dtype=float).view(np.int64)
     assert np.count_nonzero(formatted == 0) == 0
     assert formatted.tolist() == changed[changed != 0].tolist()
+    assert calls == [2, 3]
     assert prices == [r.broadcast.payload for r in trace.rounds]
 
 

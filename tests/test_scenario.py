@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from edgeprice import (BITS_PER_KB, SCHEMES, KnapsackInstance, Scenario,
-                       ScenarioConfig, SweepSpec, UserProfile, dbm_to_watts,
+                       ScenarioConfig, SweepSpec, UserProfile, db_to_linear,
+                       dbm_to_watts,
                        run_bargaining, run_trial, sample_scenario,
                        scenario_kinetics, validate_scenario)
 from edgeprice.kinetics import user_columns
@@ -65,6 +66,21 @@ def test_sampled_values_inside_configured_ranges():
             assert cfg.local_cpu_min_cps <= u.local_cpu_cps <= cfg.local_cpu_max_cps
             assert 10.0 ** (cfg.gain_db_min / 10) <= u.channel_gain_linear <= 10.0 ** (cfg.gain_db_max / 10)
         total += len(s.users)
+
+
+@pytest.mark.parametrize("bounds", [(-50.0, -30.0), (-50.0, -50.0),
+                                    (-30.0, -30.0), (-120.0, 40.0)])
+def test_sampled_gains_are_db_to_linear_bit_for_bit(bounds):
+    # the sampler divides the dB draws by 10 in numpy and raises 10.0 to
+    # each with float.__pow__: the bits of the scalar db_to_linear, at the
+    # default bounds, at each bound alone and over a wider range
+    lo, hi = bounds
+    cfg = ScenarioConfig(num_users=100_000, seed=26, gain_db_min=lo,
+                         gain_db_max=hi)
+    gains_db = np.random.default_rng(cfg.seed).uniform(lo, hi, cfg.num_users)
+    expected = np.array([db_to_linear(db) for db in gains_db.tolist()])
+    sampled = sample_scenario(cfg).users.channel_gain_linear
+    assert sampled.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_noise_power_per_subband_positive():
@@ -314,6 +330,12 @@ def test_config_file_bad_line(tmp_path):
      "weight 0 must be finite and > 0 (got 'x')"),
     (lambda: KnapsackInstance((1.0,), (1.0,), None),
      "capacity must be finite and >= 0 (got None)"),
+    (lambda: KnapsackInstance(None, (1.0,), 1.0),
+     "weights must be a sequence of numbers (got None)"),
+    (lambda: SweepSpec("capacity_cycles", 2e9, 1, ScenarioConfig()),
+     "sweep_values must be a sequence of numbers (got 2000000000.0)"),
+    (lambda: SweepSpec("capacity_cycles", (2e9,), 1, None),
+     "base must be a ScenarioConfig (got None)"),
     (lambda: Scenario(replace(make_system(1, 6e9), cloud_capacity_cycles="x"),
                       (make_profile(),)),
      "invalid scenario: system: cloud_capacity_cycles must be a real number "
@@ -324,8 +346,8 @@ def test_config_file_bad_line(tmp_path):
     (lambda: Scenario(make_system(1, 6e9), users=(1,)),
      "invalid scenario: user 0 must be a UserProfile (got 1)"),
 ], ids=["config_float", "config_int", "sweep_value", "sweep_trials",
-        "knapsack_weight", "knapsack_capacity", "system_float", "system_int",
-        "user"])
+        "knapsack_weight", "knapsack_capacity", "knapsack_weights",
+        "sweep_values", "sweep_base", "system_float", "system_int", "user"])
 def test_a_field_that_is_no_number_is_refused_when_built(build, message):
     # a record refuses a field that is no number as it refuses a bad number:
     # ValueError naming the field, the value shown with repr
